@@ -6,7 +6,15 @@ Vectorization uses column stacking (Fortran order), so vec(A X B) =
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+
+from .errors import CapacityError
+
+# physical memory, read once: a dense allocation past it ends with the process
+# OOM-killed instead of a CapacityError
+MEMORY_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -15,6 +23,17 @@ def vec(mat: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
+
+
+def check_dense_budget(what: str, dim: int, matrices: int = 1) -> None:
+    """Raise CapacityError, before anything is allocated, when ``matrices``
+    complex dim x dim arrays would not fit in physical memory."""
+    needed = 16 * matrices * dim * dim  # complex128
+    if needed > MEMORY_BUDGET_BYTES:
+        raise CapacityError(
+            f"{what} at N = {dim} needs {needed} bytes, over the budget of "
+            f"{MEMORY_BUDGET_BYTES} bytes (physical memory)"
+        )
 
 
 def hermitian_deviation(mat: np.ndarray) -> float:

@@ -34,12 +34,12 @@ from typing import Optional
 
 import numpy as np
 
+from .densemat import check_dense_budget
 from .errors import CapacityError, ValidationError
 from .operators import (
     MajoranaMonomial,
     PauliString,
     Term,
-    canonical_dense,
     canonical_phase,
     decode_op,
     encode_op,
@@ -345,18 +345,14 @@ def sample_strength_stats(spec: EnsembleSpec) -> tuple[float, float]:
 # dense realization
 # ---------------------------------------------------------------------------
 
-def term_summand_dense(term: HamiltonianTerm, limit=None) -> np.ndarray:
-    """Dense s * h * U for a single term."""
-    return term.s * term.h * canonical_dense(term.op, limit=limit)
-
-
-def instance_to_dense(instance: HamiltonianInstance, limit=None) -> np.ndarray:
+def instance_to_dense(instance: HamiltonianInstance) -> np.ndarray:
     """Dense Hermitian H = sum_g s_g h_g U_g."""
     dim = 1 << instance.qubits
+    check_dense_budget("dense Hamiltonian", dim)
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
     for t in instance.terms:
-        rows, vals = term_action(t.op, t.s * t.h * canonical_phase(t.op), limit=limit)
+        rows, vals = term_action(t.op, t.s * t.h * canonical_phase(t.op))
         out[rows, cols] += vals
     return out
 

@@ -14,7 +14,7 @@ class ValidationError(DissipError):
 
 
 class CapacityError(DissipError):
-    """A requested object exceeds a configured size budget (dense limit, term budget)."""
+    """A requested object exceeds a size budget (physical memory, term budget)."""
 
 
 class RefinementError(DissipError):

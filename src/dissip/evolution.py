@@ -104,15 +104,14 @@ def _rk4(apply_fn, state, t, steps):
         yield state
 
 
-def vectorized_generator(rep: LindbladianRep, adjoint: bool = False, limit: int = EXPM_DIM_LIMIT) -> np.ndarray:
+def vectorized_generator(rep: LindbladianRep, adjoint: bool = False) -> np.ndarray:
     """N^2 x N^2 matrix of the generator on column-stacked operators."""
     dim = rep.dim
-    if dim > limit:
-        raise CapacityError(f"vectorized generator at N = {dim} exceeds the N <= {limit} gate")
+    if dim > EXPM_DIM_LIMIT:
+        raise CapacityError(f"vectorized generator at N = {dim} exceeds the N <= {EXPM_DIM_LIMIT} gate")
     eye = np.eye(dim)
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for jump in rep.jumps:
-        k = jump.k_dense
+    for k in rep.k_stack:
         kdk = k.conj().T @ k
         out += np.kron(k.conj(), k)
         out -= 0.5 * (np.kron(eye, kdk) + np.kron(kdk.T, eye))
@@ -195,16 +194,14 @@ def heisenberg_evolve(rep: LindbladianRep, obs: np.ndarray, cfg: EvolutionConfig
     return out
 
 
-def choi_matrix(rep: LindbladianRep, t: float, limit: int = EXPM_DIM_LIMIT) -> np.ndarray:
+def choi_matrix(rep: LindbladianRep, t: float) -> np.ndarray:
     """Choi matrix sum_ij E_ij (x) channel(E_ij) of e^(L t).
 
     Positive semidefinite iff the map is completely positive; the partial
     trace over the output factor equals I iff it is trace preserving.
     """
     dim = rep.dim
-    if dim > limit:
-        raise CapacityError(f"Choi matrix at N = {dim} exceeds the N <= {limit} gate")
-    channel = expm(vectorized_generator(rep, limit=limit) * t)
+    channel = expm(vectorized_generator(rep) * t)  # raises CapacityError past EXPM_DIM_LIMIT
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from hashlib import sha256
 from typing import Optional
 
@@ -73,6 +73,16 @@ class CellSpec:
     c_y: Optional[float] = None
     c_t: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("y", "t", "c_y", "c_t"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValidationError(f"cell {self.cell_id!r}: {name} must be a finite number, got {value!r}")
+        if self.t is not None and self.t < 0:
+            raise ValidationError(f"cell {self.cell_id!r}: evolution time must be nonnegative")
+        if any(c is not None and c <= 0 for c in (self.c_y, self.c_t)):
+            raise ValidationError(f"cell {self.cell_id!r}: schedule constants must be positive")
+
     def ensemble(self, seed: int) -> EnsembleSpec:
         return EnsembleSpec(model=self.model, n=self.n, k=self.k, m=self.m, seed=seed)
 
@@ -84,7 +94,6 @@ class ExperimentConfig:
     master_seed: int = 0
     method: str = "rk4"
     steps: int = 0
-    run_bound_checks: bool = False
     results_csv: Optional[str] = None
     stats_json: Optional[str] = None
     manifest_json: Optional[str] = None
@@ -94,13 +103,13 @@ class ExperimentConfig:
             raise ValidationError("draws must be >= 1")
         if len({c.cell_id for c in self.cells}) != len(self.cells):
             raise ValidationError("cell ids must be unique")
+        EvolutionConfig(t_final=0.0, steps=self.steps, method=self.method)  # the draws' own checks
 
     def to_dict(self) -> dict:
         return {
             "master_seed": self.master_seed,
             "draws": self.draws,
             "evolution": {"method": self.method, "steps": self.steps},
-            "run_bound_checks": self.run_bound_checks,
             "cells": [
                 {
                     ("id" if k == "cell_id" else k): v
@@ -128,7 +137,7 @@ class ExperimentConfig:
 
 
 _CELL_KEYS = {"id", "model", "n", "k", "m", "y", "t", "c_y", "c_t"}
-_TOP_KEYS = {"master_seed", "draws", "evolution", "run_bound_checks", "cells", "output"}
+_TOP_KEYS = {"master_seed", "draws", "evolution", "cells", "output"}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -163,7 +172,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         master_seed=int(doc.get("master_seed", 0)),
         method=evo.get("method", "rk4"),
         steps=int(evo.get("steps", 0)),
-        run_bound_checks=bool(doc.get("run_bound_checks", False)),
         results_csv=out.get("results_csv"),
         stats_json=out.get("stats_json"),
         manifest_json=out.get("manifest_json"),
@@ -404,11 +412,8 @@ def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
 
     for instance in _verify_instances(cfg):
         y, t = _params_for(instance, cfg)
-        sched = schedule(instance)
-        y_eff = cfg.y if cfg.y is not None else sched.y
-        t_eff = cfg.t if cfg.t is not None else sched.t
-        time_ok = instance.a_loc * instance.k * t_eff < 1.0
-        coupling_ok = y_eff**2 * instance.h_loc**2 * instance.a_loc * instance.k < 0.125
+        time_ok = instance.a_loc * instance.k * t < 1.0
+        coupling_ok = y**2 * instance.h_loc**2 * instance.a_loc * instance.k < 0.125
         guard_violations += int(not (time_ok and coupling_ok))
         rep = build_lindbladian(instance, y)
         eye = np.eye(rep.dim)

@@ -32,19 +32,18 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .densemat import random_hermitian, spectral_norm
+from .densemat import check_dense_budget, random_hermitian, spectral_norm
 from .ensembles import HamiltonianInstance, instance_to_dense
 from .errors import CapacityError, DimensionMismatchError
 from .operators import (
     MajoranaMonomial,
     PauliString,
-    Term,
     canonical_dense,
-    encode_op,
     majorana_commutes,
     pauli_commutes,
     to_dense,
@@ -80,41 +79,20 @@ def commutation_table(jumps, terms) -> np.ndarray:
     return table
 
 
-def term_commutation_flags(terms) -> np.ndarray:
-    """b_gg' flags between Hamiltonian terms (m x m, zero diagonal)."""
-    m = len(terms)
-    table = np.zeros((m, m), dtype=np.uint8)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if isinstance(terms[i].op, MajoranaMonomial):
-                flag = majorana_commutes(terms[i].op, terms[j].op)
-            else:
-                flag = pauli_commutes(terms[i].op, terms[j].op)
-            table[i, j] = table[j, i] = flag
-    return table
-
-
-@dataclass(frozen=True)
-class JumpOperator:
-    """One Lindblad operator K^a = A^a + y [A^a, H]."""
-
-    label: str
-    base: Term
-    k_dense: np.ndarray
-    y: float
-
-
 @dataclass(frozen=True)
 class LindbladianRep:
-    """Dense working form of the generator for one Hamiltonian draw."""
+    """Dense working form of the generator for one Hamiltonian draw.
+
+    The fields are what :func:`apply_generator` and
+    :func:`apply_generator_adjoint` multiply.  The dense jumps and terms that
+    only the piece decomposition and the verify checks read are built from
+    the instance on first use.
+    """
 
     instance: HamiltonianInstance
     y: float
-    jumps: tuple
     b_table: np.ndarray
     h_dense: np.ndarray
-    base_denses: tuple
-    unit_denses: tuple
     k_stack: np.ndarray        # (|A|, N, N), all K^a stacked
     k_stack_dag: np.ndarray    # (|A|, N, N), daggered copies
     kdagk_sum: np.ndarray
@@ -124,37 +102,39 @@ class LindbladianRep:
     def dim(self) -> int:
         return self.h_dense.shape[0]
 
-    def k_matrices(self):
-        return [j.k_dense for j in self.jumps]
+    @cached_property
+    def base_denses(self) -> tuple:
+        """Dense base jumps A^a, in :func:`build_jump_set` order."""
+        return tuple(to_dense(b) for b in build_jump_set(self.instance))
+
+    @cached_property
+    def unit_denses(self) -> tuple:
+        """Dense unit-square terms U_g, in term order."""
+        return tuple(canonical_dense(t.op) for t in self.instance.terms)
 
 
-def build_lindbladian(instance: HamiltonianInstance, y: float, limit=None) -> LindbladianRep:
-    """Materialize jumps, commutation table, and cached sums for a draw."""
+def build_lindbladian(instance: HamiltonianInstance, y: float) -> LindbladianRep:
+    """Materialize the jump stacks, commutation table and cached sums for a draw."""
     bases = build_jump_set(instance)
-    h_dense = instance_to_dense(instance, limit=limit)
+    # the rep's stacks and sums plus the two (|A|, N, N) temporaries of apply_generator
+    check_dense_budget("generator", 1 << instance.qubits, 4 * len(bases) + 2)
+    h_dense = instance_to_dense(instance)
     dim = h_dense.shape[0]
     b_table = commutation_table(bases, instance.terms)
-    jumps = []
     k_stack = np.empty((len(bases), dim, dim), dtype=complex)
     bound = 0.0
     for a, base in enumerate(bases):
-        a_dense = to_dense(base, limit=limit)
+        a_dense = to_dense(base)
         k = a_dense + y * (a_dense @ h_dense - h_dense @ a_dense)
         k_stack[a] = k
         bound += 2.0 * spectral_norm(k) ** 2
-        jumps.append(JumpOperator(encode_op(base), base, k, y))
     k_stack_dag = np.ascontiguousarray(k_stack.conj().transpose(0, 2, 1))
     kdagk = (k_stack_dag @ k_stack).sum(axis=0)
-    unit_denses = tuple(canonical_dense(t.op, limit=limit) for t in instance.terms)
-    base_denses = tuple(to_dense(b, limit=limit) for b in bases)
     return LindbladianRep(
         instance=instance,
         y=y,
-        jumps=tuple(jumps),
         b_table=b_table,
         h_dense=h_dense,
-        base_denses=base_denses,
-        unit_denses=unit_denses,
         k_stack=k_stack,
         k_stack_dag=k_stack_dag,
         kdagk_sum=kdagk,
@@ -210,7 +190,8 @@ def zero_piece_adjoint(rep: LindbladianRep, obs: np.ndarray) -> np.ndarray:
     """L0dag(O), including the absorbed g = g' diagonal."""
     _check_dim(rep, obs)
     y2 = rep.y * rep.y
-    out = _conjugated_sum(rep, obs, range(len(rep.jumps))) - len(rep.jumps) * obs
+    n_jumps = rep.k_stack.shape[0]
+    out = _conjugated_sum(rep, obs, range(n_jumps)) - n_jumps * obs
     for g, term in enumerate(rep.instance.terms):
         active = np.flatnonzero(rep.b_table[:, g])
         if active.size == 0:

@@ -22,24 +22,19 @@ Site indices are 0-based everywhere in code; the text encodings used for
 serialization ("X1 Z3", "M1 M2 M5 M6") are 1-based.
 
 Dense realizations are plain complex numpy arrays.  Qubit 0 is the leftmost
-kron factor (most significant bit of the basis index).  The dense qubit limit
-defaults to 12 (4096-dimensional) and can be overridden with the
-``DISSIP_DENSE_LIMIT`` environment variable.
+kron factor (most significant bit of the basis index).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, ValidationError
-
-DENSE_LIMIT_ENV = "DISSIP_DENSE_LIMIT"
-DEFAULT_DENSE_QUBIT_LIMIT = 12
+from .densemat import check_dense_budget
+from .errors import DimensionMismatchError, ValidationError
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**e for e = 0,1,2,3
 
@@ -52,20 +47,6 @@ PAULI_1Q = {
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
-
-
-def dense_qubit_limit() -> int:
-    """Current dense-matrix qubit cap (env override, default 12)."""
-    return int(os.environ.get(DENSE_LIMIT_ENV, DEFAULT_DENSE_QUBIT_LIMIT))
-
-
-def _check_dense_capacity(qubits: int, limit: int | None) -> None:
-    cap = dense_qubit_limit() if limit is None else limit
-    if qubits > cap:
-        raise CapacityError(
-            f"dense realization needs {qubits} qubits, over the limit of {cap} "
-            f"(override with {DENSE_LIMIT_ENV})"
-        )
 
 
 @dataclass(frozen=True)
@@ -294,7 +275,7 @@ def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return rows, vals
 
 
-def term_action(term: Term, global_phase: complex = 1.0, limit: int | None = None):
+def term_action(term: Term, global_phase: complex = 1.0):
     """Column action (rows, vals) of global_phase * term: M[rows[c], c] = vals[c].
 
     Every Pauli string or Majorana monomial is a permutation-with-phases
@@ -303,28 +284,28 @@ def term_action(term: Term, global_phase: complex = 1.0, limit: int | None = Non
     """
     if isinstance(term, MajoranaMonomial):
         pauli, phase = majorana_to_pauli(term)
-        return term_action(pauli, global_phase * phase, limit=limit)
-    _check_dense_capacity(term.n, limit)
+        return term_action(pauli, global_phase * phase)
     rows, vals = _pauli_action(term)
     return rows, global_phase * vals
 
 
-def to_dense(term: Term, global_phase: complex = 1.0, limit: int | None = None) -> np.ndarray:
+def to_dense(term: Term, global_phase: complex = 1.0) -> np.ndarray:
     """Dense matrix global_phase * term on the full 2^q space.
 
     q equals the qubit count for Pauli strings and half the mode count
     (via Jordan-Wigner) for Majorana monomials.
     """
-    rows, vals = term_action(term, global_phase, limit=limit)
-    size = rows.shape[0]
+    size = 1 << (term.n // 2 if isinstance(term, MajoranaMonomial) else term.n)
+    check_dense_budget("dense realization", size)
+    rows, vals = term_action(term, global_phase)
     out = np.zeros((size, size), dtype=complex)
     out[rows, np.arange(size)] = vals
     return out
 
 
-def canonical_dense(term: Term, limit: int | None = None) -> np.ndarray:
+def canonical_dense(term: Term) -> np.ndarray:
     """Dense matrix of the Hermitian, unit-square normalization of the term."""
-    return to_dense(term, canonical_phase(term), limit=limit)
+    return to_dense(term, canonical_phase(term))
 
 
 def kron_chain(letters) -> np.ndarray:

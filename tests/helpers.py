@@ -1,7 +1,5 @@
 """Shared builders for the test suite."""
 
-import numpy as np
-
 from dissip.ensembles import EnsembleSpec, HamiltonianTerm, make_instance, sample
 from dissip.operators import PauliString
 
@@ -15,13 +13,3 @@ def single_z_instance():
     term = HamiltonianTerm(PauliString.from_site_letters(1, [(0, "Z")]), 1.0, 1)
     return make_instance("sparse_pauli", 1, 1, [term], 0, h_glo=1.0)
 
-
-def random_hermitian(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
-
-
-def random_density(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    w = g @ g.conj().T
-    return w / np.trace(w).real

@@ -45,14 +45,13 @@ def test_sample_validation_error_exits_2(capsys):
     assert "error:" in err
 
 
-def test_capacity_error_names_limit(capsys, monkeypatch):
-    monkeypatch.setenv("DISSIP_DENSE_LIMIT", "2")
+def test_capacity_error_names_bytes(capsys):
     code, _, err = run_cli(
-        capsys, "evolve", "--model", "sparse_pauli", "--n", "4", "--k", "2", "--m", "3",
+        capsys, "evolve", "--model", "sparse_pauli", "--n", "24", "--k", "2", "--m", "3",
         "--t", "0.1", "--y", "-0.1",
     )
     assert code == 2
-    assert "limit" in err and "DISSIP_DENSE_LIMIT" in err
+    assert "bytes" in err and "budget" in err
 
 
 def test_unknown_flag_rejected(capsys):
@@ -191,6 +190,28 @@ def test_sweep_deterministic_modulo_wall_time(capsys, tmp_path):
     first = read_without_wall()
     assert run_cli(capsys, "sweep", "--config", str(path), "--workers", "2")[0] == 0
     assert read_without_wall() == first
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("evolution", "method", "rk5", "unknown method"),
+        ("evolution", "steps", -1, "steps must be nonnegative"),
+        ("cell", "c_t", -1, "schedule constants must be positive"),
+        ("cell", "t", -0.5, "evolution time must be nonnegative"),
+    ],
+)
+def test_sweep_config_error_exits_2_before_any_draw(capsys, tmp_path, section, key, value, message):
+    path, doc = sweep_config(tmp_path)
+    if section == "cell":
+        doc["cells"][0][key] = value
+    else:
+        doc["evolution"] = {key: value}
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_sweep_malformed_json_reports_position(capsys, tmp_path):

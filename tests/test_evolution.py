@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import draw, random_hermitian, single_z_instance
+from helpers import draw, single_z_instance
 
-from dissip.densemat import spectral_norm
+from dissip.densemat import random_hermitian, spectral_norm
 from dissip.errors import CapacityError, RefinementError, ValidationError
 from dissip.evolution import (
     EvolutionConfig,

@@ -209,6 +209,9 @@ def test_config_rejects_unknown_keys():
         config_from_json('{"cells": [{"id": "a", "model": "sparse_pauli", "n": 2, "k": 1, "m": 1, "oops": 2}]}')
     with pytest.raises(ValidationError):
         config_from_json('{"cells": []}')
+    with pytest.raises(ValidationError, match="run_bound_checks"):
+        config_from_json('{"cells": [{"id": "a", "model": "sparse_pauli", "n": 2, "k": 1, "m": 1}], '
+                         '"run_bound_checks": false}')
 
 
 def test_config_validates_cells_eagerly():

@@ -7,8 +7,9 @@ matrices, so the two routes are independent.
 
 import numpy as np
 import pytest
-from helpers import draw, random_density, random_hermitian, single_z_instance
+from helpers import draw, single_z_instance
 
+from dissip.densemat import random_density, random_hermitian
 from dissip.errors import CapacityError, DimensionMismatchError
 from dissip.lindblad import (
     apply_generator,
@@ -110,14 +111,14 @@ def test_jump_set_single_spin_site():
 def test_zero_coupling_keeps_bare_jumps():
     inst = draw("sparse_pauli", 2, 2, m=3, seed=4)
     rep = build_lindbladian(inst, y=0.0)
-    for jump in rep.jumps:
-        assert np.abs(jump.k_dense - to_dense(jump.base)).max() == 0.0
+    for k, base in zip(rep.k_stack, build_jump_set(inst), strict=True):
+        assert np.abs(k - to_dense(base)).max() == 0.0
 
 
 def test_k_matrix_single_qubit_oracle():
     # H = Z, y = 0.1: K for A = X is X + 0.1 [X, Z] = X - 0.2 i Y
     rep = build_lindbladian(single_z_instance(), y=0.1)
-    k_x = rep.jumps[0].k_dense
+    k_x = rep.k_stack[0]
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y_mat = np.array([[0, -1j], [1j, 0]])
     assert np.abs(k_x - (x - 0.2j * y_mat)).max() < 1e-12

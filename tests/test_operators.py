@@ -1,13 +1,16 @@
 """Bit-level Pauli/Majorana algebra against dense matrix oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dissip.ensembles import EnsembleSpec, instance_to_dense, sample
 from dissip.errors import CapacityError, DimensionMismatchError, ValidationError
+from dissip.lindblad import build_lindbladian
 from dissip.operators import (
     MajoranaMonomial,
     PauliString,
@@ -199,13 +202,23 @@ def test_canonical_phase_values():
         canonical_phase(MajoranaMonomial.from_modes(6, (0, 1, 2)))
 
 
-def test_dense_limit_enforced(monkeypatch):
-    monkeypatch.setenv("DISSIP_DENSE_LIMIT", "3")
-    with pytest.raises(CapacityError):
-        to_dense(PauliString.identity(4))
-    assert to_dense(PauliString.identity(3)).shape == (8, 8)
-    # explicit limit argument overrides the environment
-    assert to_dense(PauliString.identity(4), limit=4).shape == (16, 16)
+def test_byte_budget_raises_before_allocating():
+    # n = 24 spins: one dense matrix alone takes 16 * 4^24 bytes (4.5 PB)
+    inst = sample(EnsembleSpec("sparse_pauli", 24, 2, 3, seed=0))
+    builds = (
+        lambda: to_dense(PauliString.identity(24)),
+        lambda: instance_to_dense(inst),
+        lambda: build_lindbladian(inst, -0.1),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="bytes"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------
