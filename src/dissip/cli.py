@@ -192,10 +192,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_ratio_stats(args) -> int:
-    n_values = [int(x) for x in args.n_list.split(",")]
+    n_values = _int_list(args.n_list, "--n-list")
     if args.m_list:
-        m_values = [int(x) for x in args.m_list.split(",")]
+        m_values = _int_list(args.m_list, "--m-list")
         if len(m_values) == 1:
             m_values = m_values * len(n_values)
         if len(m_values) != len(n_values):

@@ -25,15 +25,19 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
-def check_dense_budget(what: str, dim: int, matrices: int = 1) -> None:
-    """Raise CapacityError, before anything is allocated, when ``matrices``
-    complex dim x dim arrays would not fit in physical memory."""
-    needed = 16 * matrices * dim * dim  # complex128
+def check_budget(what: str, needed: int) -> None:
+    """Raise CapacityError, before anything is allocated, when ``needed``
+    bytes would not fit in physical memory."""
     if needed > MEMORY_BUDGET_BYTES:
         raise CapacityError(
-            f"{what} at N = {dim} needs {needed} bytes, over the budget of "
+            f"{what} needs {needed} bytes, over the budget of "
             f"{MEMORY_BUDGET_BYTES} bytes (physical memory)"
         )
+
+
+def check_dense_budget(what: str, dim: int, matrices: int = 1) -> None:
+    """check_budget for ``matrices`` complex dim x dim arrays."""
+    check_budget(f"{what} at N = {dim}", 16 * matrices * dim * dim)  # complex128
 
 
 def hermitian_deviation(mat: np.ndarray) -> float:

@@ -140,23 +140,42 @@ _CELL_KEYS = {"id", "model", "n", "k", "m", "y", "t", "c_y", "c_t"}
 _TOP_KEYS = {"master_seed", "draws", "evolution", "cells", "output"}
 
 
+def _integer(value, what: str) -> int:
+    """int(value), with a ValidationError naming the field when it is not a number."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    _object(doc, "config")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if "cells" not in doc or not doc["cells"]:
+    if not isinstance(doc.get("cells"), list) or not doc["cells"]:
         raise ValidationError("config needs a nonempty 'cells' list")
     cells = []
     for i, cd in enumerate(doc["cells"]):
+        _object(cd, f"cell {i}")
         bad = set(cd) - _CELL_KEYS
         if bad:
             raise ValidationError(f"unknown cell keys: {sorted(bad)}")
+        missing = [key for key in ("model", "n", "k") if key not in cd]
+        if missing:
+            raise ValidationError(f"cell {i} needs {missing}")
         cell = CellSpec(
             cell_id=cd.get("id", f"cell{i}"),
             model=cd["model"],
-            n=int(cd["n"]),
-            k=int(cd["k"]),
-            m=int(cd["m"]) if "m" in cd else None,
+            n=_integer(cd["n"], f"cell {i}: n"),
+            k=_integer(cd["k"], f"cell {i}: k"),
+            m=_integer(cd["m"], f"cell {i}: m") if "m" in cd else None,
             y=cd.get("y"),
             t=cd.get("t"),
             c_y=cd.get("c_y"),
@@ -164,14 +183,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
         cell.ensemble(0)  # validate ensemble parameters eagerly
         cells.append(cell)
-    evo = doc.get("evolution", {})
-    out = doc.get("output", {})
+    evo = _object(doc.get("evolution", {}), "evolution")
+    out = _object(doc.get("output", {}), "output")
     return ExperimentConfig(
         cells=tuple(cells),
-        draws=int(doc.get("draws", 1)),
-        master_seed=int(doc.get("master_seed", 0)),
+        draws=_integer(doc.get("draws", 1), "draws"),
+        master_seed=_integer(doc.get("master_seed", 0), "master_seed"),
         method=evo.get("method", "rk4"),
-        steps=int(evo.get("steps", 0)),
+        steps=_integer(evo.get("steps", 0), "steps"),
         results_csv=out.get("results_csv"),
         stats_json=out.get("stats_json"),
         manifest_json=out.get("manifest_json"),

@@ -25,8 +25,15 @@ b_ag ([A^a, H_g] = 2 b_ag A^a H_g) the pieces reduce to
     M = sum_{a: b_ag = b_ag' = 1} A O A,   c = sum_a b_ag b_ag',
 
 where U_g is the unit-square canonical term (H_g = h_g U_g).  The pieces act
-as closures over dense matrices; nothing of size 4^q x 4^q is materialized
-here.
+as closures over dense matrices.
+
+The same structure gives the generator on Pauli coefficient vectors (see
+:func:`dissip.operators.pauli_coefficients`).  Each K^a = A^a (I + 2y H_a),
+with H_a the terms anticommuting with A^a, is a short sum of canonical
+strings, and a pair of its strings P, P' moves a string Q to Q ^ P ^ P'.
+The only shifts are therefore 0, g and g ^ g', and the generator is a real
+sparse 4^q x 4^q matrix with at most one entry per column and shift
+(:func:`transfer_matrix`).  It is built from the symplectic masks alone.
 """
 
 from __future__ import annotations
@@ -37,15 +44,23 @@ from typing import Callable
 
 import numpy as np
 
-from .densemat import check_dense_budget, random_hermitian, spectral_norm
+from scipy.sparse import csr_matrix
+
+from .densemat import check_budget, check_dense_budget, random_hermitian, spectral_norm
 from .ensembles import HamiltonianInstance, instance_to_dense
 from .errors import CapacityError, DimensionMismatchError
 from .operators import (
     MajoranaMonomial,
     PauliString,
     canonical_dense,
+    canonical_phase,
+    coefficient_index,
     majorana_commutes,
+    majorana_to_pauli,
     pauli_commutes,
+    pauli_mul,
+    popcount_table,
+    string_phase_exponents,
     to_dense,
 )
 
@@ -81,12 +96,14 @@ def commutation_table(jumps, terms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladianRep:
-    """Dense working form of the generator for one Hamiltonian draw.
+    """Working forms of the generator for one Hamiltonian draw.
 
-    The fields are what :func:`apply_generator` and
-    :func:`apply_generator_adjoint` multiply.  The dense jumps and terms that
-    only the piece decomposition and the verify checks read are built from
-    the instance on first use.
+    ``k_stack`` and ``norm_bound`` are built with the rep.  The forms the
+    generator is applied through are built on first use: the daggered stack
+    and sum K^dag K for :func:`apply_generator` and
+    :func:`apply_generator_adjoint`, and ``transfer`` for the RK4 of the
+    sampled models.  So are the dense jumps and terms that only the piece
+    decomposition and the verify checks read.
     """
 
     instance: HamiltonianInstance
@@ -94,13 +111,30 @@ class LindbladianRep:
     b_table: np.ndarray
     h_dense: np.ndarray
     k_stack: np.ndarray        # (|A|, N, N), all K^a stacked
-    k_stack_dag: np.ndarray    # (|A|, N, N), daggered copies
-    kdagk_sum: np.ndarray
     norm_bound: float = field(default=0.0)
 
     @property
     def dim(self) -> int:
         return self.h_dense.shape[0]
+
+    @cached_property
+    def k_stack_dag(self) -> np.ndarray:
+        """(|A|, N, N) daggered copies of the jumps."""
+        # the stack plus the two (|A|, N, N) temporaries of apply_generator
+        check_dense_budget("adjoint jump stack", self.dim, 3 * self.k_stack.shape[0])
+        return np.ascontiguousarray(self.k_stack.conj().transpose(0, 2, 1))
+
+    @cached_property
+    def kdagk_sum(self) -> np.ndarray:
+        """sum_a K^a_dag K^a."""
+        # the (|A|, N, N) stack of products plus their sum
+        check_dense_budget("sum of K^dag K", self.dim, self.k_stack.shape[0] + 1)
+        return (self.k_stack_dag @ self.k_stack).sum(axis=0)
+
+    @cached_property
+    def transfer(self) -> csr_matrix:
+        """The generator on Pauli coefficient vectors, see :func:`transfer_matrix`."""
+        return transfer_matrix(self)
 
     @cached_property
     def base_denses(self) -> tuple:
@@ -114,10 +148,10 @@ class LindbladianRep:
 
 
 def build_lindbladian(instance: HamiltonianInstance, y: float) -> LindbladianRep:
-    """Materialize the jump stacks, commutation table and cached sums for a draw."""
+    """Materialize the jump stack, its norm bound and the commutation table for a draw."""
     bases = build_jump_set(instance)
-    # the rep's stacks and sums plus the two (|A|, N, N) temporaries of apply_generator
-    check_dense_budget("generator", 1 << instance.qubits, 4 * len(bases) + 2)
+    # the stack and h_dense, plus one jump's A, A H, H A, commutator and SVD copy
+    check_dense_budget("generator", 1 << instance.qubits, len(bases) + 6)
     h_dense = instance_to_dense(instance)
     dim = h_dense.shape[0]
     b_table = commutation_table(bases, instance.terms)
@@ -128,16 +162,12 @@ def build_lindbladian(instance: HamiltonianInstance, y: float) -> LindbladianRep
         k = a_dense + y * (a_dense @ h_dense - h_dense @ a_dense)
         k_stack[a] = k
         bound += 2.0 * spectral_norm(k) ** 2
-    k_stack_dag = np.ascontiguousarray(k_stack.conj().transpose(0, 2, 1))
-    kdagk = (k_stack_dag @ k_stack).sum(axis=0)
     return LindbladianRep(
         instance=instance,
         y=y,
         b_table=b_table,
         h_dense=h_dense,
         k_stack=k_stack,
-        k_stack_dag=k_stack_dag,
-        kdagk_sum=kdagk,
         norm_bound=bound,
     )
 
@@ -163,6 +193,151 @@ def apply_generator_adjoint(rep: LindbladianRep, obs: np.ndarray) -> np.ndarray:
     out = (rep.k_stack_dag @ obs @ rep.k_stack).sum(axis=0)
     out -= 0.5 * (rep.kdagk_sum @ obs + obs @ rep.kdagk_sum)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Pauli-transfer form
+# ---------------------------------------------------------------------------
+
+def _as_pauli(op, phase=1.0) -> tuple:
+    """(string, phase') with phase * op == phase' * string as matrices."""
+    if isinstance(op, MajoranaMonomial):
+        pauli, extra = majorana_to_pauli(op)
+        return pauli, phase * extra
+    return op, phase
+
+
+def _jump_components(rep: LindbladianRep):
+    """Each K^a = A^a + 2y sum_{g: b_ag = 1} s_g h_g A^a U_g as a list of
+    (coefficient-vector index, canonical string, coefficient), repeated
+    strings merged and zero coefficients dropped."""
+    terms = [
+        (*_as_pauli(t.op, canonical_phase(t.op)), 2.0 * rep.y * t.s * t.h)
+        for t in rep.instance.terms
+    ]
+    for a, base in enumerate(build_jump_set(rep.instance)):
+        p_a, phase_a = _as_pauli(base)
+        comps = {coefficient_index(p_a): [p_a, complex(phase_a)]}
+        for g in np.flatnonzero(rep.b_table[a]):
+            p_g, phase_g, coeff = terms[g]
+            p, phase = pauli_mul(p_a, p_g)
+            comps.setdefault(coefficient_index(p), [p, 0j])[1] += coeff * phase_a * phase_g * phase
+        yield [(key, p, c) for key, (p, c) in sorted(comps.items()) if c != 0]
+
+
+def _shift_groups(rep: LindbladianRep) -> dict:
+    """The generator's action on strings, grouped by shift.
+
+    For K = sum_j c_j P_j the generator sends a string Q to
+    sum_{j,l} c_j c_l^* (P_j Q P_l - (1/2) {P_l P_j, Q}).  A diagonal pair
+    gives |c_j|^2 (chi_j(Q) - 1) Q, where chi_j(Q) = +-1 as P_j commutes or
+    anticommutes with Q.  With P_j P_l = w S (S the string at shift
+    s = P_j ^ P_l), v = c_j c_l^* and Q S = phi(Q) (Q ^ s), the ordered pairs
+    (j, l) and (l, j) together give (Q ^ s) times
+
+        phi(Q)   (2 Re(v w) chi_j(Q) - 2 Re(v w^*))   if Q commutes with S,
+        phi(Q) i  2 Im(v w) chi_j(Q)                   if it anticommutes,
+
+    both real.  Returns {s: {index of P_j: [a, b, c]}}, the sums of
+    a = 2 Re(v w), b = -2 Re(v w^*) and c = 2 Im(v w) over the pairs with
+    first string P_j (a diagonal pair adds a = -b = |c_j|^2 at s = 0).  At
+    Q = S every pair has a chi_j(S) = -b exactly, and so has each sum, which
+    keeps the identity row of T exactly zero.
+    """
+    groups = {}
+
+    def add(shift, key, a, b, c):
+        coeffs = groups.setdefault(shift, {}).setdefault(key, [0.0, 0.0, 0.0])
+        coeffs[0] += a
+        coeffs[1] += b
+        coeffs[2] += c
+
+    for comps in _jump_components(rep):
+        for j, (key_j, p_j, c_j) in enumerate(comps):
+            weight = abs(c_j) ** 2
+            add(0, key_j, weight, -weight, 0.0)
+            for key_l, p_l, c_l in comps[j + 1:]:
+                _, w = pauli_mul(p_j, p_l)
+                v = c_j * c_l.conjugate()
+                add(key_j ^ key_l, key_j, 2.0 * (v * w).real, -2.0 * (v * w.conjugate()).real,
+                    2.0 * (v * w).imag)
+    return groups
+
+
+def transfer_matrix(rep: LindbladianRep) -> csr_matrix:
+    """Real sparse T with pauli_coefficients(L(rho)) = T pauli_coefficients(rho).
+
+    T[Q ^ s, Q] is the shift-s column vector of :func:`_shift_groups`, one
+    length-4^q vector per shift, built from the masks alone.  The first pass
+    counts the nonzeros of each row and the second fills preallocated CSR
+    arrays, so no vector outlives its shift.  T^T is the Heisenberg-picture
+    generator on the same coefficients.
+    """
+    q = rep.instance.qubits
+    size = 1 << (2 * q)
+    low = (1 << q) - 1
+    groups = _shift_groups(rep)
+    n_keys = len({key for coeffs in groups.values() for key in coeffs})
+    # at most one float64 and one int32 per column and shift, plus pass 1's
+    # cached sign vectors (one byte per string each) and working vectors;
+    # the shift count is at most 1 + m (m + 1) / 2
+    check_budget("transfer matrix", size * (12 * len(groups) + n_keys + 64))
+    idx = np.arange(size)
+    # string index (x << q) | z is the grid point [x, z]; every symplectic
+    # parity below splits into a function of x times one of z
+    popcount = popcount_table(q)
+    half = np.arange(low + 1)
+
+    def parity(mask):
+        """|b & mask| mod 2 for b = 0..2^q - 1."""
+        return popcount[half & mask] & 1
+
+    xz = string_phase_exponents(low + 1).ravel()  # |x & z| mod 4 of every string
+    signs = {}
+
+    def chi(key):
+        """(-1)^<P, Q> for every Q, P the string at ``key``."""
+        if key not in signs:
+            # <P, Q> = |x_Q & z_P| + |z_Q & x_P|
+            signs[key] = np.multiply.outer(1 - 2 * parity(key & low), 1 - 2 * parity(key >> q)).ravel()
+        return signs[key]
+
+    def column(shift, coeffs):
+        """T[Q ^ shift, Q] for every Q."""
+        commuting = np.zeros(size)
+        anticommuting = np.zeros(size)
+        for key, (a, b, c) in coeffs.items():
+            if a or b:
+                commuting += a * chi(key) + b
+            if c:
+                anticommuting += c * chi(key)
+        z_q_x_s = parity(shift >> q)  # |z_Q & x_S| mod 2, a function of z
+        anti = (parity(shift & low)[:, None] ^ z_q_x_s[None, :]).ravel().astype(bool)
+        # Q S = i^e (Q ^ s); the real factor is Re(i^e) or Re(i^(e+1)) = (-1)^ceil(e/2)
+        e = ((xz + xz[shift] - xz[idx ^ shift]).reshape(-1, low + 1) + 2 * z_q_x_s).ravel() & 3
+        return (1 - 2 * (((e + 1) >> 1) & 1)) * np.where(anti, anticommuting, commuting)
+
+    order = sorted(groups.items())
+    counts = np.zeros(size, dtype=np.int64)
+    for shift, coeffs in order:
+        counts += (column(shift, coeffs) != 0)[idx ^ shift]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    nnz = int(indptr[-1])
+    check_budget("transfer matrix", 12 * nnz + 8 * (size + 1))
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=np.int32)
+    fill = indptr[:-1].copy()
+    for shift, coeffs in order:
+        col = column(shift, coeffs)
+        cols = np.flatnonzero(col)
+        rows = cols ^ shift
+        at = fill[rows]
+        indices[at] = cols
+        data[at] = col[cols]
+        fill[rows] += 1
+    return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 # ---------------------------------------------------------------------------

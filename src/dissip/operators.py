@@ -247,31 +247,37 @@ def support(term: Term) -> frozenset:
     return term.support()
 
 
-def _parity_vector(mask: int, size: int) -> np.ndarray:
-    """parity(popcount(b & mask)) for b = 0..size-1, by xor-folding."""
-    v = np.arange(size, dtype=np.uint64) & np.uint64(mask)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
+def popcount_table(bits: int) -> np.ndarray:
+    """popcount(b) for b = 0..2^bits-1, as int8, built by doubling."""
+    table = np.zeros(1, dtype=np.int8)
+    for _ in range(bits):
+        table = np.concatenate((table, table + 1))
+    return table
 
 
-def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Column action of the canonical string: P|b> = vals[b] |rows[b]>.
+def position_masks(p: PauliString) -> tuple[int, int]:
+    """(x, z) masks of the string in basis-index bit positions.
 
     Qubit i maps to bit position (n-1-i) of the basis index, so qubit 0 is
     the leftmost kron factor.
     """
     q = p.n
-    size = 1 << q
     xm = zm = 0
     for site in range(q):
         pos = q - 1 - site
         xm |= ((p.x_bits >> site) & 1) << pos
         zm |= ((p.z_bits >> site) & 1) << pos
+    return xm, zm
+
+
+def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Column action of the canonical string: P|b> = vals[b] |rows[b]>."""
+    size = 1 << p.n
+    xm, zm = position_masks(p)
     cols = np.arange(size)
     rows = cols ^ xm
     phase = PHASES[(p.x_bits & p.z_bits).bit_count() % 4]
-    vals = phase * (1.0 - 2.0 * _parity_vector(zm, size))
+    vals = phase * (1.0 - 2.0 * (popcount_table(p.n)[cols & zm] & 1))
     return rows, vals
 
 
@@ -306,6 +312,65 @@ def to_dense(term: Term, global_phase: complex = 1.0) -> np.ndarray:
 def canonical_dense(term: Term) -> np.ndarray:
     """Dense matrix of the Hermitian, unit-square normalization of the term."""
     return to_dense(term, canonical_phase(term))
+
+
+# ---------------------------------------------------------------------------
+# Pauli coefficient vectors
+# ---------------------------------------------------------------------------
+#
+# An operator on q qubits is M = (1/N) sum_P r_P P over the N^2 canonical
+# strings P = i^{|x & z|} X^x Z^z, with (x, z) the basis-position masks of
+# _pauli_action and r_P = Tr(P M).  P sits at index (x << q) | z of the
+# vector r, so r[0] = Tr M, and r is real when M is Hermitian.
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """sum_c (-1)^popcount(c & z) a[..., c] for every z, along the last axis."""
+    shape = a.shape
+    size = shape[-1]
+    half = 1
+    while half < size:
+        v = a.reshape(shape[:-1] + (size // (2 * half), 2, half))
+        a = np.stack((v[..., 0, :] + v[..., 1, :], v[..., 0, :] - v[..., 1, :]), axis=-2)
+        half *= 2
+    return a.reshape(shape)
+
+
+def coefficient_index(p: PauliString) -> int:
+    """Index (x << q) | z of the string in a coefficient vector."""
+    x, z = position_masks(p)
+    return (x << p.n) | z
+
+
+def string_phase_exponents(dim: int) -> np.ndarray:
+    """|x & z| mod 4 on the (x, z) grid of an N = dim space, int8."""
+    idx = np.arange(dim)
+    return popcount_table(dim.bit_length() - 1)[idx[:, None] & idx[None, :]] & 3
+
+
+def _string_phases(dim: int) -> np.ndarray:
+    """i^{|x & z|} on the (x, z) grid."""
+    return np.asarray(PHASES)[string_phase_exponents(dim)]
+
+
+def pauli_coefficients(mat: np.ndarray) -> np.ndarray:
+    """r_P = Tr(P M) for every canonical string P, as a real vector of length N^2.
+
+    Imaginary parts, which vanish for Hermitian M, are dropped.
+    """
+    dim = mat.shape[0]
+    idx = np.arange(dim)
+    # Tr(P M) = i^{|x & z|} sum_c (-1)^{c.z} M[c, c ^ x]; rows of the grid are x
+    sums = _walsh_hadamard(mat[idx[None, :], idx[:, None] ^ idx[None, :]])
+    return (_string_phases(dim) * sums).real.ravel()
+
+
+def from_pauli_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """M = (1/N) sum_P r_P P, the inverse of :func:`pauli_coefficients`."""
+    dim = 1 << ((coeffs.size.bit_length() - 1) // 2)
+    idx = np.arange(dim)
+    # M[c ^ x, c] = (1/N) sum_z (-1)^{c.z} i^{|x & z|} r[x, z]
+    shifted = _walsh_hadamard(_string_phases(dim) * coeffs.reshape(dim, dim)) / dim
+    return shifted[idx[:, None] ^ idx[None, :], idx[None, :]]
 
 
 def kron_chain(letters) -> np.ndarray:

@@ -214,6 +214,29 @@ def test_sweep_config_error_exits_2_before_any_draw(capsys, tmp_path, section, k
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["cells"][0].pop("model"), "needs ['model']"),
+        (lambda doc: doc["cells"][0].update(n="two"), "n must be an integer"),
+        (lambda doc: doc["cells"][0].update(m=[4]), "m must be an integer"),
+        (lambda doc: doc.update(draws="x"), "draws must be an integer"),
+        (lambda doc: doc.update(master_seed=None), "master_seed must be an integer"),
+        (lambda doc: doc.update(evolution={"steps": "many"}), "steps must be an integer"),
+        (lambda doc: doc.update(cells=[3]), "must be a JSON object"),
+    ],
+    ids=["missing-model", "n-text", "m-list", "draws-text", "seed-null", "steps-text", "cell-number"],
+)
+def test_sweep_malformed_config_exits_2(capsys, tmp_path, edit, message):
+    path, doc = sweep_config(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_sweep_malformed_json_reports_position(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"cells": [,]}')
@@ -296,6 +319,15 @@ def test_ratio_stats_csv(capsys):
     n8 = float(lines[1].split(",")[5])
     n16 = float(lines[2].split(",")[5])
     assert n16 > n8  # ratio grows with n
+
+
+@pytest.mark.parametrize("flag, value", [("--n-list", "8,x"), ("--m-list", "12,y")])
+def test_ratio_stats_bad_size_list_exits_2(capsys, flag, value):
+    argv = ["ratio-stats", "--model", "sparse_pauli", "--k", "2", "--n-list", "8,16", "--draws", "2"]
+    argv += [flag, value]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"{flag} must be comma-separated integers" in err
 
 
 def test_version_flag(capsys):
