@@ -29,7 +29,7 @@ from scipy.linalg import expm
 from .densemat import hermitian_deviation, unvec, vec
 from .ensembles import SAMPLED_MODELS
 from .errors import CapacityError, DimensionMismatchError, RefinementError, ValidationError
-from .lindblad import LindbladianRep, apply_generator, apply_generator_adjoint
+from .lindblad import LindbladianRep, apply_generator, apply_generator_adjoint, transfer_matrix
 from .operators import from_pauli_coefficients, pauli_coefficients
 
 STEP_GUARD = 0.1          # max allowed (norm bound) * dt
@@ -177,7 +177,7 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         deviation = hermitian_deviation(rho0)
         if deviation > 1e-10:
             raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
-        transfer = rep.transfer
+        transfer = transfer_matrix(rep)
         states = _rk4(lambda r: transfer @ r, pauli_coefficients(rho0), t, steps)
         trace, dense = (lambda r: r[0]), from_pauli_coefficients
     else:

@@ -39,7 +39,6 @@ sparse 4^q x 4^q matrix with at most one entry per column and shift
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -94,16 +93,35 @@ def commutation_table(jumps, terms) -> np.ndarray:
     return table
 
 
+class _cached:
+    """functools.cached_property without the class-wide lock it holds while
+    computing on Python < 3.12, so threads building forms of different reps
+    do not wait on each other."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class LindbladianRep:
     """Working forms of the generator for one Hamiltonian draw.
 
-    ``k_stack`` and ``norm_bound`` are built with the rep.  The forms the
-    generator is applied through are built on first use: the daggered stack
-    and sum K^dag K for :func:`apply_generator` and
-    :func:`apply_generator_adjoint`, and ``transfer`` for the RK4 of the
-    sampled models.  So are the dense jumps and terms that only the piece
-    decomposition and the verify checks read.
+    ``k_stack`` and ``norm_bound`` are built with the rep.  The daggered
+    stack and sum K^dag K that :func:`apply_generator` and
+    :func:`apply_generator_adjoint` multiply are built on first use, and so
+    are the dense jumps and terms that only the piece decomposition and the
+    verify checks read.  The RK4 of the sampled models needs none of them:
+    it runs on :func:`transfer_matrix`.
     """
 
     instance: HamiltonianInstance
@@ -117,31 +135,26 @@ class LindbladianRep:
     def dim(self) -> int:
         return self.h_dense.shape[0]
 
-    @cached_property
+    @_cached
     def k_stack_dag(self) -> np.ndarray:
         """(|A|, N, N) daggered copies of the jumps."""
         # the stack plus the two (|A|, N, N) temporaries of apply_generator
         check_dense_budget("adjoint jump stack", self.dim, 3 * self.k_stack.shape[0])
         return np.ascontiguousarray(self.k_stack.conj().transpose(0, 2, 1))
 
-    @cached_property
+    @_cached
     def kdagk_sum(self) -> np.ndarray:
         """sum_a K^a_dag K^a."""
         # the (|A|, N, N) stack of products plus their sum
         check_dense_budget("sum of K^dag K", self.dim, self.k_stack.shape[0] + 1)
         return (self.k_stack_dag @ self.k_stack).sum(axis=0)
 
-    @cached_property
-    def transfer(self) -> csr_matrix:
-        """The generator on Pauli coefficient vectors, see :func:`transfer_matrix`."""
-        return transfer_matrix(self)
-
-    @cached_property
+    @_cached
     def base_denses(self) -> tuple:
         """Dense base jumps A^a, in :func:`build_jump_set` order."""
         return tuple(to_dense(b) for b in build_jump_set(self.instance))
 
-    @cached_property
+    @_cached
     def unit_denses(self) -> tuple:
         """Dense unit-square terms U_g, in term order."""
         return tuple(canonical_dense(t.op) for t in self.instance.terms)

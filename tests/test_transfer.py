@@ -6,6 +6,7 @@ share only the instance.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,13 @@ import pytest
 from helpers import draw, single_z_instance
 
 import dissip.densemat
+import dissip.evolution
+import dissip.lindblad
 from dissip.analysis import schedule
 from dissip.densemat import random_density, random_hermitian
 from dissip.errors import CapacityError, ValidationError
 from dissip.evolution import AUTO_STEP_TARGET, EvolutionConfig, evolve, maximally_mixed
-from dissip.lindblad import apply_generator, apply_generator_adjoint, build_lindbladian
+from dissip.lindblad import apply_generator, apply_generator_adjoint, build_lindbladian, transfer_matrix
 from dissip.operators import (
     PauliString,
     canonical_dense,
@@ -69,7 +72,7 @@ def test_transfer_matches_dense_generator():
     rng = np.random.default_rng(1)
     for rep in sampled_reps():
         rho = random_hermitian(rep.dim, rng)
-        via_transfer = from_pauli_coefficients(rep.transfer @ pauli_coefficients(rho))
+        via_transfer = from_pauli_coefficients(transfer_matrix(rep) @ pauli_coefficients(rho))
         assert np.abs(via_transfer - apply_generator(rep, rho)).max() < 1e-12
 
 
@@ -77,13 +80,13 @@ def test_transposed_transfer_matches_dense_adjoint():
     rng = np.random.default_rng(2)
     for rep in sampled_reps():
         obs = random_hermitian(rep.dim, rng)
-        via_transfer = from_pauli_coefficients(rep.transfer.T @ pauli_coefficients(obs))
+        via_transfer = from_pauli_coefficients(transfer_matrix(rep).T @ pauli_coefficients(obs))
         assert np.abs(via_transfer - apply_generator_adjoint(rep, obs)).max() < 1e-12
 
 
 def test_transfer_identity_row_vanishes():
     for rep in sampled_reps():
-        transfer = rep.transfer
+        transfer = transfer_matrix(rep)
         assert transfer.dtype == np.float64 and transfer.indices.dtype == np.int32
         assert transfer.shape == (rep.dim**2, rep.dim**2)
         row = transfer[[0]].toarray()
@@ -124,21 +127,59 @@ def test_c08_cells_evolve_like_dense_rk4(model, n, k, m):
         assert abs(row["energy"] - dense[row["step"]]) < 1e-12
 
 
-def test_gaussian_evolution_never_builds_transfer():
+@pytest.fixture
+def transfer_builds(monkeypatch):
+    """The reps evolve builds a transfer matrix for, in call order."""
+    built = []
+
+    def recording(rep):
+        built.append(rep)
+        return transfer_matrix(rep)
+
+    monkeypatch.setattr(dissip.evolution, "transfer_matrix", recording)
+    return built
+
+
+def test_gaussian_evolution_never_builds_transfer(transfer_builds):
     for model, n, k in (("gaussian_pauli", 3, 2), ("syk", 6, 4)):
         inst = draw(model, n, k, seed=0)
         sched = schedule(inst)
         rep = build_lindbladian(inst, sched.y)
         evolve(rep, maximally_mixed(inst.qubits), EvolutionConfig(t_final=sched.t))
-        assert "transfer" not in vars(rep)
         assert "k_stack_dag" in vars(rep)
+    assert transfer_builds == []
 
 
-def test_sampled_evolution_never_builds_dense_stacks():
+def test_sampled_evolution_never_builds_dense_stacks(transfer_builds):
     rep = build_lindbladian(draw("sparse_pauli", 3, 2, m=5, seed=0), -0.1)
     evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2))
-    assert "transfer" in vars(rep)
+    assert transfer_builds == [rep]
     assert "k_stack_dag" not in vars(rep) and "kdagk_sum" not in vars(rep)
+
+
+def test_lazy_forms_of_different_reps_build_concurrently(monkeypatch):
+    # functools.cached_property holds one lock per property for the whole
+    # class on Python < 3.12, which would keep the second build waiting
+    reps = [build_lindbladian(draw("syk", 6, 4, seed=seed), -0.1) for seed in (0, 1)]
+    inside, second_built = threading.Event(), threading.Event()
+    waited = []
+    check = dissip.lindblad.check_dense_budget
+
+    def hold_first(what, dim, count):
+        if threading.current_thread().name == "first":
+            inside.set()
+            waited.append(second_built.wait(timeout=10))
+        check(what, dim, count)
+
+    monkeypatch.setattr(dissip.lindblad, "check_dense_budget", hold_first)
+    first = threading.Thread(target=lambda: reps[0].k_stack_dag, name="first")
+    first.start()
+    assert inside.wait(timeout=10)
+    reps[1].k_stack_dag
+    second_built.set()
+    first.join()
+    assert waited == [True]
+    assert all("k_stack_dag" in vars(rep) for rep in reps)
 
 
 def test_transfer_path_rejects_non_hermitian_state():
@@ -149,14 +190,21 @@ def test_transfer_path_rejects_non_hermitian_state():
         evolve(rep, rho, EvolutionConfig(t_final=0.1))
 
 
-@pytest.mark.parametrize("form", ["transfer", "k_stack_dag", "kdagk_sum"])
+LAZY_FORMS = {
+    "transfer": transfer_matrix,
+    "k_stack_dag": lambda rep: rep.k_stack_dag,
+    "kdagk_sum": lambda rep: rep.kdagk_sum,
+}
+
+
+@pytest.mark.parametrize("form", list(LAZY_FORMS))
 def test_lazy_forms_check_the_byte_budget_first(monkeypatch, form):
     rep = build_lindbladian(draw("sparse_pauli", 6, 2, m=12, seed=0), -0.1)
     monkeypatch.setattr(dissip.densemat, "MEMORY_BUDGET_BYTES", 10_000)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="bytes"):
-            getattr(rep, form)
+            LAZY_FORMS[form](rep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
