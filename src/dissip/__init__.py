@@ -68,7 +68,6 @@ from .lindblad import (
     apply_generator_adjoint,
     build_jump_set,
     build_lindbladian,
-    decompose_generator,
 )
 from .operators import (
     MajoranaMonomial,

@@ -155,8 +155,7 @@ def cmd_verify(args) -> int:
         t=args.t,
         instances_per_model=args.instances,
         condition_instances=args.condition_instances,
-        norm_probes=args.probes,
-        contraction_probes=args.probes,
+        probes=args.probes,
         tail_draws=args.tail_draws,
     )
     report = verify_suite(cfg)

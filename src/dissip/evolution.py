@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .densemat import hermitian_deviation, unvec, vec
+from .densemat import hermitian_deviation, random_hermitian, spectral_norm, unvec, vec
 from .ensembles import SAMPLED_MODELS
 from .errors import CapacityError, DimensionMismatchError, RefinementError, ValidationError
 from .lindblad import LindbladianRep, apply_generator, apply_generator_adjoint, transfer_matrix
@@ -236,3 +236,28 @@ def choi_output_trace(choi: np.ndarray, dim: int) -> np.ndarray:
         for j in range(dim):
             out[i, j] = np.trace(choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim])
     return out
+
+
+def choi_deviations(rep: LindbladianRep, t: float) -> tuple[float, float]:
+    """(max(0, -min eigenvalue), max |partial trace - I|) of the Choi matrix
+    of e^(L t); both vanish up to rounding for a CPTP map."""
+    choi = choi_matrix(rep, t)
+    min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
+    trace_dev = float(np.abs(choi_output_trace(choi, rep.dim) - np.eye(rep.dim)).max())
+    return max(0.0, -min_eig), trace_dev
+
+
+def contraction_excess(rep: LindbladianRep, t: float, probes: int, rng: np.random.Generator) -> float:
+    """max over random Hermitian O of ||e^(Ldag t)(O)|| - ||O||.
+
+    A unital CP map contracts the operator norm, so this is <= 0 up to
+    rounding.  The propagator is exponentiated once for all probes; each
+    image equals ``heisenberg_evolve(rep, O, method="expm")`` bit for bit.
+    """
+    propagator = expm(vectorized_generator(rep, adjoint=True) * t)
+    worst = -math.inf
+    for _ in range(probes):
+        probe = random_hermitian(rep.dim, rng)
+        before = spectral_norm(probe, hermitian=True)
+        worst = max(worst, spectral_norm(unvec(propagator @ vec(probe), rep.dim)) - before)
+    return worst

@@ -25,34 +25,23 @@ from .analysis import (
     BoundCheckReport,
     Check,
     energy_report,
-    first_order_sum_dense,
     max_eigenvalue,
     rademacher_average_energy,
     schedule,
+    schedule_guards,
     spectral_tail_bound,
+    t1_identity_error,
 )
-from .densemat import random_hermitian, spectral_norm
 from .ensembles import EnsembleSpec, derive_seed, instance_to_dense, sample
 from .errors import DissipError, ValidationError
-from .evolution import (
-    EvolutionConfig,
-    choi_matrix,
-    choi_output_trace,
-    evolve,
-    heisenberg_evolve,
-    maximally_mixed,
-)
+from .evolution import EvolutionConfig, choi_deviations, contraction_excess, evolve, maximally_mixed
 from .lindblad import (
-    build_jump_set,
     build_lindbladian,
-    commutation_table,
+    condition1_max_residual,
     condition2_max_residual,
-    cross_piece_adjoint,
-    cross_piece_norm_bound,
-    sampled_superop_norm,
-    single_piece_adjoint,
-    single_piece_norm_bound,
-    weighted_anticommute_sum,
+    ledger_violations,
+    piece_norm_margins,
+    weighted_anticommute_margin,
 )
 
 CELL_FAILURE_FRACTION = 0.10
@@ -375,6 +364,9 @@ def merge_moments(count_a, mean_a, m2_a, count_b, mean_b, m2_b):
 # verification suite
 # ---------------------------------------------------------------------------
 
+TAIL_DELTA = 0.01  # failure probability of the matrix Hoeffding tail bound
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Sizes and overrides for the bundled identity-and-bound check suite."""
@@ -384,10 +376,13 @@ class VerifyConfig:
     t: Optional[float] = None
     instances_per_model: int = 3
     condition_instances: int = 25
-    norm_probes: int = 30
-    contraction_probes: int = 20
+    probes: int = 30                 # per piece norm and per contraction instance
     tail_draws: int = 30
-    tail_delta: float = 0.01
+
+    def __post_init__(self):
+        for name in ("instances_per_model", "condition_instances", "probes", "tail_draws"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"verify {name} must be >= 1, got {getattr(self, name)}")
 
 
 _VERIFY_MODELS = (
@@ -398,10 +393,10 @@ _VERIFY_MODELS = (
 )
 
 
-def _verify_instances(cfg):
+def _verify_instances(cfg, tag, count):
     for model, n, k, m in _VERIFY_MODELS:
-        for i in range(cfg.instances_per_model):
-            seed = derive_seed(cfg.seed, "verify", model, i)
+        for i in range(count):
+            seed = derive_seed(cfg.seed, tag, model, i)
             yield sample(EnsembleSpec(model=model, n=n, k=k, m=m, seed=seed))
 
 
@@ -414,111 +409,44 @@ def _params_for(instance, cfg):
 
 def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
     """Run every named exact identity and bound check; all must pass."""
-    checks = []
     rng = np.random.default_rng(derive_seed(cfg.seed, "verify", "probes"))
-
-    # Condition 1: unit squares of canonical terms (worst dense deviation)
-    worst_sq = 0.0
-    # Condition 2: commutation flag consistency in dense form
-    worst_comm = 0.0
-    # T1 identity (summed over terms and jumps)
-    worst_t1 = 0.0
-    # Appendix bounds
-    worst_single = -math.inf
-    worst_cross = -math.inf
-    worst_weighted = -math.inf
-    guard_violations = 0
-
-    for instance in _verify_instances(cfg):
-        y, t = _params_for(instance, cfg)
-        time_ok = instance.a_loc * instance.k * t < 1.0
-        coupling_ok = y**2 * instance.h_loc**2 * instance.a_loc * instance.k < 0.125
-        guard_violations += int(not (time_ok and coupling_ok))
-        rep = build_lindbladian(instance, y)
-        eye = np.eye(rep.dim)
-        for u in rep.unit_denses:
-            worst_sq = max(worst_sq, float(np.abs(u @ u - eye).max()))
-        worst_comm = max(worst_comm, condition2_max_residual(rep))
-        closed = -8.0 * y * instance.h_glo**2 * instance.a_ac * instance.k
-        worst_t1 = max(worst_t1, abs(first_order_sum_dense(rep) - closed))
-        for g in range(len(instance.terms)):
-            observed = sampled_superop_norm(
-                lambda o, g=g: single_piece_adjoint(rep, g, o), rep.dim, cfg.norm_probes, rng
-            )
-            worst_single = max(worst_single, observed - single_piece_norm_bound(rep, g))
-            worst_weighted = max(
-                worst_weighted,
-                weighted_anticommute_sum(rep, g) - instance.a_loc * instance.k * instance.h_loc**2,
-            )
-        for g1 in range(len(instance.terms)):
-            for g2 in range(g1 + 1, len(instance.terms)):
-                observed = sampled_superop_norm(
-                    lambda o: cross_piece_adjoint(rep, g1, g2, o), rep.dim, cfg.norm_probes, rng
-                )
-                worst_cross = max(worst_cross, observed - cross_piece_norm_bound(rep, g1, g2))
-
-    checks.append(Check.one_sided("condition1_unit_squares", worst_sq, 0.0, 1e-12))
-    checks.append(Check.one_sided("condition2_commutation_flags", worst_comm, 0.0, 1e-12))
-
-    # Condition 3: exact jump counting over many cheap instances (no dense work)
-    rowsum_violations = 0
-    count_violations = 0
-    for model, n, k, m in _VERIFY_MODELS:
-        for i in range(cfg.condition_instances):
-            seed = derive_seed(cfg.seed, "cond3", model, i)
-            inst = sample(EnsembleSpec(model=model, n=n, k=k, m=m, seed=seed))
-            jumps = build_jump_set(inst)
-            table = commutation_table(jumps, inst.terms)
-            rowsum_violations += int((table.sum(axis=0) != inst.a_ac * inst.k).any())
-            count_violations += int(len(jumps) != inst.a_loc * inst.n)
-    checks.append(Check.one_sided("condition3_anticommuting_rowsums", rowsum_violations, 0.0, 0.0))
-    checks.append(Check.one_sided("condition3_jump_counts", count_violations, 0.0, 0.0))
-
-    checks.append(Check.one_sided("t1_summed_identity", worst_t1, 0.0, 1e-9))
-
-    # zeroth order under exact enumeration
+    runs = [(inst, *_params_for(inst, cfg))
+            for inst in _verify_instances(cfg, "verify", cfg.instances_per_model)]
+    reps = [build_lindbladian(inst, y) for inst, y, _ in runs]
+    # rng feeds these piece norms first, then the contraction probes below
+    margins = [piece_norm_margins(rep, cfg.probes, rng) for rep in reps]
+    # Condition 3 is exact jump counting, cheap enough for many more instances
+    ledgers = [ledger_violations(inst) for inst in _verify_instances(cfg, "cond3", cfg.condition_instances)]
     inst0 = sample(EnsembleSpec("sparse_pauli", 3, 2, 6, seed=derive_seed(cfg.seed, "zeroth")))
-    mean0, _ = rademacher_average_energy(inst0, y=-0.1, t=0.0)
-    checks.append(Check.one_sided("zeroth_order_enumeration", abs(mean0), 0.0, 1e-12))
-
-    checks.append(Check.one_sided("appendix_c_single_piece_norms", worst_single, 0.0, 1e-9))
-    checks.append(Check.one_sided("appendix_c_cross_piece_norms", worst_cross, 0.0, 1e-9))
-    checks.append(Check.one_sided("appendix_c_weighted_anticommute_sum", worst_weighted, 0.0, 1e-12))
-
-    # spectral tail
-    tail_bound = spectral_tail_bound("sparse_pauli", 8, cfg.tail_delta)
-    tail_violations = 0
-    for i in range(cfg.tail_draws):
-        seed = derive_seed(cfg.seed, "tail", i)
-        inst = sample(EnsembleSpec("sparse_pauli", 8, 2, 24, seed=seed))
-        if max_eigenvalue(instance_to_dense(inst)) > tail_bound:
-            tail_violations += 1
-    checks.append(Check.one_sided("matrix_hoeffding_tail", tail_violations, 0.0, 0.0))
-
+    tail_bound = spectral_tail_bound("sparse_pauli", 8, TAIL_DELTA)
+    tails = (sample(EnsembleSpec("sparse_pauli", 8, 2, 24, seed=derive_seed(cfg.seed, "tail", i)))
+             for i in range(cfg.tail_draws))
     # contraction and channel validity on one spin and one fermion instance
-    worst_contract = -math.inf
-    worst_choi_eig = 0.0
-    worst_choi_trace = 0.0
+    channels = []
     for model, n, k, m in (("sparse_pauli", 2, 2, 3), ("sparse_fermion", 4, 2, 3)):
         inst = sample(EnsembleSpec(model, n, k, m, seed=derive_seed(cfg.seed, "channel", model)))
         y, t = _params_for(inst, cfg)
-        rep = build_lindbladian(inst, y)
-        cfg_evo = EvolutionConfig(t_final=t, method="expm")
-        for _ in range(cfg.contraction_probes):
-            probe = random_hermitian(rep.dim, rng)
-            before = spectral_norm(probe, hermitian=True)
-            after = spectral_norm(heisenberg_evolve(rep, probe, cfg_evo))
-            worst_contract = max(worst_contract, after - before)
-        for t_choi in (0.1, 0.5):
-            choi = choi_matrix(rep, t_choi)
-            min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
-            worst_choi_eig = max(worst_choi_eig, -min_eig)
-            ptrace = choi_output_trace(choi, rep.dim)
-            worst_choi_trace = max(worst_choi_trace, float(np.abs(ptrace - np.eye(rep.dim)).max()))
-    checks.append(Check.one_sided("heisenberg_contraction", worst_contract, 0.0, 1e-8))
-    checks.append(Check.one_sided("choi_positive_semidefinite", worst_choi_eig, 0.0, 1e-8))
-    checks.append(Check.one_sided("choi_trace_preservation", worst_choi_trace, 0.0, 1e-9))
+        channels.append((build_lindbladian(inst, y), t))
+    chois = [choi_deviations(rep, t_choi) for rep, _ in channels for t_choi in (0.1, 0.5)]
 
-    checks.append(Check.one_sided("schedule_guards", guard_violations, 0.0, 0.0))
-
-    return BoundCheckReport(checks=tuple(checks))
+    return BoundCheckReport(checks=(
+        Check.one_sided("condition1_unit_squares", max(map(condition1_max_residual, reps)), 0.0, 1e-12),
+        Check.one_sided("condition2_commutation_flags",
+                        max(map(condition2_max_residual, reps)), 0.0, 1e-12),
+        Check.one_sided("condition3_anticommuting_rowsums", sum(r for r, _ in ledgers), 0.0, 0.0),
+        Check.one_sided("condition3_jump_counts", sum(c for _, c in ledgers), 0.0, 0.0),
+        Check.one_sided("t1_summed_identity", max(map(t1_identity_error, reps)), 0.0, 1e-9),
+        Check.one_sided("zeroth_order_enumeration",
+                        abs(rademacher_average_energy(inst0, y=-0.1, t=0.0)[0]), 0.0, 1e-12),
+        Check.one_sided("appendix_c_single_piece_norms", max(s for s, _ in margins), 0.0, 1e-9),
+        Check.one_sided("appendix_c_cross_piece_norms", max(c for _, c in margins), 0.0, 1e-9),
+        Check.one_sided("appendix_c_weighted_anticommute_sum",
+                        max(map(weighted_anticommute_margin, reps)), 0.0, 1e-12),
+        Check.one_sided("matrix_hoeffding_tail",
+                        sum(max_eigenvalue(instance_to_dense(inst)) > tail_bound for inst in tails), 0.0, 0.0),
+        Check.one_sided("heisenberg_contraction",
+                        max(contraction_excess(rep, t, cfg.probes, rng) for rep, t in channels), 0.0, 1e-8),
+        Check.one_sided("choi_positive_semidefinite", max(e for e, _ in chois), 0.0, 1e-8),
+        Check.one_sided("choi_trace_preservation", max(d for _, d in chois), 0.0, 1e-9),
+        Check.one_sided("schedule_guards", sum(not all(schedule_guards(*run)) for run in runs), 0.0, 0.0),
+    ))

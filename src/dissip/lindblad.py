@@ -25,7 +25,8 @@ b_ag ([A^a, H_g] = 2 b_ag A^a H_g) the pieces reduce to
     M = sum_{a: b_ag = b_ag' = 1} A O A,   c = sum_a b_ag b_ag',
 
 where U_g is the unit-square canonical term (H_g = h_g U_g).  The pieces act
-as closures over dense matrices.
+on dense matrices; the verify checks probe their norms against closed-form
+bounds.
 
 The same structure gives the generator on Pauli coefficient vectors (see
 :func:`dissip.operators.pauli_coefficients`).  Each K^a = A^a (I + 2y H_a),
@@ -38,8 +39,9 @@ sparse 4^q x 4^q matrix with at most one entry per column and shift
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from scipy.sparse import csr_matrix
 
 from .densemat import check_budget, check_dense_budget, random_hermitian, spectral_norm
 from .ensembles import HamiltonianInstance, instance_to_dense
-from .errors import CapacityError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .operators import (
     MajoranaMonomial,
     PauliString,
@@ -64,9 +66,6 @@ from .operators import (
 )
 
 _LETTERS = ("X", "Y", "Z")
-
-# decomposition produces O(m^2) pieces; keep m desk-sized by default
-DECOMPOSE_TERM_BUDGET = 64
 
 
 def build_jump_set(instance: HamiltonianInstance) -> tuple:
@@ -91,6 +90,15 @@ def commutation_table(jumps, terms) -> np.ndarray:
             else:
                 table[a, g] = pauli_commutes(base, term.op)
     return table
+
+
+def ledger_violations(instance: HamiltonianInstance) -> tuple[int, int]:
+    """Condition 3 on one draw: (1 if some term has sum_a b_ag != a_ac k,
+    1 if the jump count is not a_loc n), each 0 when it holds."""
+    jumps = build_jump_set(instance)
+    table = commutation_table(jumps, instance.terms)
+    return (int((table.sum(axis=0) != instance.a_ac * instance.k).any()),
+            int(len(jumps) != instance.a_loc * instance.n))
 
 
 class _cached:
@@ -119,7 +127,7 @@ class LindbladianRep:
     ``k_stack`` and ``norm_bound`` are built with the rep.  The daggered
     stack and sum K^dag K that :func:`apply_generator` and
     :func:`apply_generator_adjoint` multiply are built on first use, and so
-    are the dense jumps and terms that only the piece decomposition and the
+    are the dense jumps and terms that only the piece adjoints and the
     verify checks read.  The RK4 of the sampled models needs none of them:
     it runs on :func:`transfer_matrix`.
     """
@@ -357,15 +365,6 @@ def transfer_matrix(rep: LindbladianRep) -> csr_matrix:
 # Rademacher decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorPiece:
-    """One coefficient of the generator viewed as a sign polynomial."""
-
-    kind: str              # "L0", "Lgamma", or "Lgammagamma"
-    gammas: tuple
-    apply_adjoint: Callable[[np.ndarray], np.ndarray]
-
-
 def _conjugated_sum(rep, obs, active) -> np.ndarray:
     out = np.zeros_like(obs)
     for a in active:
@@ -424,47 +423,6 @@ def cross_piece_adjoint(rep: LindbladianRep, g1: int, g2: int, obs: np.ndarray) 
     )
 
 
-@dataclass(frozen=True)
-class DecomposedGenerator:
-    rep: LindbladianRep
-    l0: GeneratorPiece
-    singles: tuple
-    crosses: dict
-
-    def apply_adjoint(self, obs: np.ndarray, signs=None) -> np.ndarray:
-        """Reassemble Ldag(O) = L0dag + sum s_g Lgdag + sum s_g s_g' Lgg'dag."""
-        if signs is None:
-            signs = self.rep.instance.signs()
-        out = self.l0.apply_adjoint(obs)
-        for g, piece in enumerate(self.singles):
-            out = out + signs[g] * piece.apply_adjoint(obs)
-        for (g1, g2), piece in self.crosses.items():
-            out = out + signs[g1] * signs[g2] * piece.apply_adjoint(obs)
-        return out
-
-
-def decompose_generator(rep: LindbladianRep, max_terms: int = DECOMPOSE_TERM_BUDGET) -> DecomposedGenerator:
-    """Split the adjoint generator into its sign-polynomial coefficients."""
-    m = len(rep.instance.terms)
-    if m > max_terms:
-        raise CapacityError(f"{m} terms give {m * m} pieces, over the budget of {max_terms}")
-    l0 = GeneratorPiece("L0", (), lambda obs: zero_piece_adjoint(rep, obs))
-    singles = tuple(
-        GeneratorPiece("Lgamma", (g,), (lambda g: lambda obs: single_piece_adjoint(rep, g, obs))(g))
-        for g in range(m)
-    )
-    crosses = {
-        (g1, g2): GeneratorPiece(
-            "Lgammagamma",
-            (g1, g2),
-            (lambda g1, g2: lambda obs: cross_piece_adjoint(rep, g1, g2, obs))(g1, g2),
-        )
-        for g1 in range(m)
-        for g2 in range(g1 + 1, m)
-    }
-    return DecomposedGenerator(rep=rep, l0=l0, singles=singles, crosses=crosses)
-
-
 # ---------------------------------------------------------------------------
 # norms and combinatorial bounds
 # ---------------------------------------------------------------------------
@@ -512,11 +470,44 @@ def sampled_superop_norm(apply_fn, dim: int, samples: int, rng: np.random.Genera
     return best
 
 
+def piece_norm_margins(rep: LindbladianRep, probes: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Worst (sampled norm - closed-form bound) over the single pieces, then
+    over the cross pieces, -inf where there are none.
+
+    Every single piece is probed before every cross piece, in term order, each
+    with ``probes`` draws from ``rng``.
+    """
+    m = len(rep.instance.terms)
+    single = max(
+        (sampled_superop_norm(lambda o: single_piece_adjoint(rep, g, o), rep.dim, probes, rng)
+         - single_piece_norm_bound(rep, g) for g in range(m)),
+        default=-math.inf,
+    )
+    cross = max(
+        (sampled_superop_norm(lambda o: cross_piece_adjoint(rep, g1, g2, o), rep.dim, probes, rng)
+         - cross_piece_norm_bound(rep, g1, g2) for g1, g2 in itertools.combinations(range(m), 2)),
+        default=-math.inf,
+    )
+    return single, cross
+
+
 def weighted_anticommute_sum(rep: LindbladianRep, g_prime: int) -> float:
     """sum_a sum_g b_ag' b_ag h_g^2, bounded by a_loc k h_loc^2."""
     strengths2 = rep.instance.strengths() ** 2
     col = rep.b_table[:, g_prime].astype(float)
     return float(col @ (rep.b_table.astype(float) @ strengths2))
+
+
+def weighted_anticommute_margin(rep: LindbladianRep) -> float:
+    """max over g' of weighted_anticommute_sum - a_loc k h_loc^2, <= 0 by Appendix C."""
+    cap = rep.instance.a_loc * rep.instance.k * rep.instance.h_loc**2
+    return max(weighted_anticommute_sum(rep, g) - cap for g in range(len(rep.instance.terms)))
+
+
+def condition1_max_residual(rep: LindbladianRep) -> float:
+    """max over g of || U_g^2 - I || in dense form."""
+    eye = np.eye(rep.dim)
+    return max((float(np.abs(u @ u - eye).max()) for u in rep.unit_denses), default=0.0)
 
 
 def condition2_max_residual(rep: LindbladianRep) -> float:

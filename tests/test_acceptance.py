@@ -8,10 +8,8 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from dissip.analysis import (
-    first_order_sum_dense,
     glo_loc_ratio_stats,
     loglog_slope,
     max_eigenvalue,
@@ -19,28 +17,19 @@ from dissip.analysis import (
     schedule,
     second_order_residual_scan,
     spectral_tail_bound,
+    t1_identity_error,
 )
-from dissip.densemat import random_hermitian, spectral_norm, unvec, vec
 from dissip.ensembles import EnsembleSpec, derive_seed, instance_to_dense, sample
 from dissip.evolution import (
     EvolutionConfig,
-    choi_output_trace,
+    choi_deviations,
+    contraction_excess,
     evolve,
     maximally_mixed,
     required_steps,
-    vectorized_generator,
 )
 from dissip.experiment import CellSpec, ExperimentConfig, run_experiment
-from dissip.lindblad import (
-    build_jump_set,
-    build_lindbladian,
-    commutation_table,
-    cross_piece_adjoint,
-    cross_piece_norm_bound,
-    sampled_superop_norm,
-    single_piece_adjoint,
-    single_piece_norm_bound,
-)
+from dissip.lindblad import build_lindbladian, ledger_violations, piece_norm_margins
 
 SEED = 20250811
 
@@ -68,10 +57,7 @@ def test_c01_t1_exactness():
     worst = 0.0
     for i, (model, n, k, m) in enumerate(grid):
         inst = _draw(model, n, k, m, "t1", i)
-        y = schedule(inst).y
-        rep = build_lindbladian(inst, y)
-        closed = -8.0 * y * inst.h_glo**2 * inst.a_ac * inst.k
-        worst = max(worst, abs(first_order_sum_dense(rep) - closed))
+        worst = max(worst, t1_identity_error(build_lindbladian(inst, schedule(inst).y)))
     _report(1, "T1 exactness", worst <= 1e-9,
             f"20 instances, max |sum - closed form| = {worst:.2e} <= 1e-9", started)
 
@@ -109,28 +95,11 @@ def test_c04_channel_validity():
     for i, (model, n, k, m) in enumerate(grid):
         inst = _draw(model, n, k, m, "channel", i)
         rep = build_lindbladian(inst, schedule(inst).y)
-        dim = rep.dim
-        gen = vectorized_generator(rep)
         for t in (0.1, 0.5):
-            propagator = expm(gen * t)
-            choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-            for a in range(dim):
-                for b in range(dim):
-                    choi[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] = unvec(
-                        propagator[:, a + dim * b], dim
-                    )
-            min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
-            worst_eig = max(worst_eig, -min_eig)
-            ptrace = choi_output_trace(choi, dim)
-            worst_trace = max(worst_trace, float(np.abs(ptrace - np.eye(dim)).max()))
-            heisenberg = propagator.conj().T  # adjoint propagator on vectorized operators
-            for _ in range(25):
-                probe = random_hermitian(dim, rng)
-                image = unvec(heisenberg @ vec(probe), dim)
-                worst_contract = max(
-                    worst_contract,
-                    spectral_norm(image) - spectral_norm(probe, hermitian=True),
-                )
+            eig_dev, trace_dev = choi_deviations(rep, t)
+            worst_eig = max(worst_eig, eig_dev)
+            worst_trace = max(worst_trace, trace_dev)
+            worst_contract = max(worst_contract, contraction_excess(rep, t, 25, rng))
     ok = worst_eig <= 1e-8 and worst_trace <= 1e-9 and worst_contract <= 1e-8
     _report(4, "channel validity", ok,
             f"Choi min eig >= -{worst_eig:.2e}, trace dev {worst_trace:.2e}, "
@@ -149,12 +118,7 @@ def test_c05_conditions_ledger():
     for model, (n, k, m) in grid.items():
         for i in range(100):
             inst = _draw(model, n, k, m, "cond", i)
-            jumps = build_jump_set(inst)
-            table = commutation_table(jumps, inst.terms)
-            if (table.sum(axis=0) != inst.a_ac * inst.k).any():
-                violations += 1
-            if len(jumps) != inst.a_loc * inst.n:
-                violations += 1
+            violations += sum(ledger_violations(inst))
             expected = (2, 3) if model in ("gaussian_pauli", "sparse_pauli") else (1, 1)
             if (inst.a_ac, inst.a_loc) != expected:
                 violations += 1
@@ -171,17 +135,7 @@ def test_c06_appendix_bounds():
     for i, (model, n, k, m) in enumerate(grid):
         inst = _draw(model, n, k, m, "norms", i)
         rep = build_lindbladian(inst, schedule(inst).y)
-        for g in range(len(inst.terms)):
-            observed = sampled_superop_norm(
-                lambda o, g=g: single_piece_adjoint(rep, g, o), rep.dim, 100, rng
-            )
-            worst_margin = max(worst_margin, observed - single_piece_norm_bound(rep, g))
-        for g1 in range(len(inst.terms)):
-            for g2 in range(g1 + 1, len(inst.terms)):
-                observed = sampled_superop_norm(
-                    lambda o: cross_piece_adjoint(rep, g1, g2, o), rep.dim, 100, rng
-                )
-                worst_margin = max(worst_margin, observed - cross_piece_norm_bound(rep, g1, g2))
+        worst_margin = max(worst_margin, *piece_norm_margins(rep, 100, rng))
     _report(6, "piece norm bounds", worst_margin <= 1e-9,
             f"20 instances x 100 probes per piece, worst (sampled - bound) = "
             f"{worst_margin:.2e} <= 1e-9", started)

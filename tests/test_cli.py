@@ -282,6 +282,19 @@ def test_verify_small_passes(capsys, tmp_path):
     assert doc["all_passed"] is True
 
 
+@pytest.mark.parametrize("flag", ["--instances", "--condition-instances", "--probes", "--tail-draws"])
+def test_verify_zero_count_exits_2(capsys, tmp_path, flag):
+    out_json = tmp_path / "report.json"
+    counts = {"--instances": "1", "--condition-instances": "1", "--probes": "1", "--tail-draws": "1"}
+    counts[flag] = "0"
+    code, out, err = run_cli(capsys, "verify", *(x for kv in counts.items() for x in kv),
+                             "--out", str(out_json))
+    assert code == 2
+    assert "must be >= 1" in err
+    assert "passed" not in out
+    assert not out_json.exists()
+
+
 def test_verify_bad_coupling_exits_1(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--seed", "42", "--y", "-9.0", "--instances", "1",

@@ -10,6 +10,7 @@ from dissip.evolution import (
     EvolutionConfig,
     choi_matrix,
     choi_output_trace,
+    contraction_excess,
     density_matrix_diagnostics,
     evolve,
     heisenberg_evolve,
@@ -156,12 +157,19 @@ def test_schroedinger_heisenberg_duality():
 def test_heisenberg_contraction(t):
     rng = np.random.default_rng(13)
     rep = rep_for("sparse_fermion", 6, 2, 5, 2, -0.15)
-    cfg = EvolutionConfig(t_final=t, method="expm")
-    for _ in range(50):
+    assert contraction_excess(rep, t, 50, rng) <= 1e-8
+
+
+def test_contraction_excess_matches_heisenberg_evolve_per_probe():
+    rep = rep_for("sparse_pauli", 3, 2, 4, 6, -0.2)
+    rng = np.random.default_rng(5)
+    cfg = EvolutionConfig(t_final=0.3, method="expm")
+    per_probe = []
+    for _ in range(6):
         obs = random_hermitian(rep.dim, rng)
         before = spectral_norm(obs, hermitian=True)
-        after = spectral_norm(heisenberg_evolve(rep, obs, cfg))
-        assert after <= before + 1e-8
+        per_probe.append(spectral_norm(heisenberg_evolve(rep, obs, cfg)) - before)
+    assert contraction_excess(rep, 0.3, 6, np.random.default_rng(5)) == max(per_probe)
 
 
 def test_vectorized_adjoint_is_conjugate_transpose():

@@ -229,19 +229,30 @@ def test_duplicate_cell_ids_rejected():
 # ---------------------------------------------------------------------------
 
 def test_verify_suite_default_passes():
-    report = verify_suite(VerifyConfig(seed=42, instances_per_model=1,
-                                       condition_instances=5, norm_probes=10,
-                                       contraction_probes=5, tail_draws=5))
+    report = verify_suite(VerifyConfig(seed=42, instances_per_model=1, condition_instances=5,
+                                       probes=10, tail_draws=5))
     assert report.all_passed, "\n".join(report.lines())
-    names = [c.name for c in report.checks]
-    assert "condition3_anticommuting_rowsums" in names
-    assert "matrix_hoeffding_tail" in names
+    assert [c.name for c in report.checks] == [
+        "condition1_unit_squares",
+        "condition2_commutation_flags",
+        "condition3_anticommuting_rowsums",
+        "condition3_jump_counts",
+        "t1_summed_identity",
+        "zeroth_order_enumeration",
+        "appendix_c_single_piece_norms",
+        "appendix_c_cross_piece_norms",
+        "appendix_c_weighted_anticommute_sum",
+        "matrix_hoeffding_tail",
+        "heisenberg_contraction",
+        "choi_positive_semidefinite",
+        "choi_trace_preservation",
+        "schedule_guards",
+    ]
 
 
 def test_verify_suite_flags_bad_schedule_but_still_runs():
     report = verify_suite(VerifyConfig(seed=42, y=-5.0, instances_per_model=1,
-                                       condition_instances=2, norm_probes=5,
-                                       contraction_probes=2, tail_draws=2))
+                                       condition_instances=2, probes=2, tail_draws=2))
     by_name = {c.name: c for c in report.checks}
     assert not by_name["schedule_guards"].passed
     # independent exact checks still ran and passed

@@ -1,30 +1,31 @@
-"""Generator construction, commutation ledger, and the sign decomposition.
+"""Generator construction, commutation ledger, and the sign-polynomial pieces.
 
-The decomposition code works from the commutation flags and the simplified
+The piece code works from the commutation flags and the simplified
 piece algebra; the oracles here evaluate the raw commutator formulas on dense
 matrices, so the two routes are independent.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from helpers import draw, single_z_instance
 
 from dissip.densemat import random_density, random_hermitian
-from dissip.errors import CapacityError, DimensionMismatchError
+from dissip.errors import DimensionMismatchError
 from dissip.lindblad import (
     apply_generator,
     apply_generator_adjoint,
     build_jump_set,
     build_lindbladian,
-    commutation_table,
     condition2_max_residual,
     cross_piece_adjoint,
     cross_piece_norm_bound,
-    decompose_generator,
+    ledger_violations,
+    piece_norm_margins,
     sampled_superop_norm,
     single_piece_adjoint,
-    single_piece_norm_bound,
-    weighted_anticommute_sum,
+    weighted_anticommute_margin,
     zero_piece_adjoint,
 )
 from dissip.operators import encode_op, to_dense
@@ -133,11 +134,17 @@ def test_k_matrix_single_qubit_oracle():
 @pytest.mark.parametrize("model,n,k,m", ALL_MODELS)
 def test_b_table_row_sums(model, n, k, m):
     for seed in range(10):
-        inst = draw(model, n, k, m=m, seed=seed)
-        table = commutation_table(build_jump_set(inst), inst.terms)
-        assert table.shape[0] == inst.a_loc * inst.n
-        expected = inst.a_ac * inst.k
-        assert (table.sum(axis=0) == expected).all()
+        assert ledger_violations(draw(model, n, k, m=m, seed=seed)) == (0, 0)
+
+
+def test_ledger_flags_a_term_of_the_wrong_weight():
+    # negative control: a weight-1 term anticommutes with 2 jumps, not a_ac k = 4
+    from dissip.ensembles import HamiltonianTerm, make_instance
+    from dissip.operators import PauliString
+
+    terms = [HamiltonianTerm(PauliString.from_site_letters(3, [(0, "X"), (1, "Z")]), 0.6, 1),
+             HamiltonianTerm(PauliString.from_site_letters(3, [(2, "Y")]), 0.8, 1)]
+    assert ledger_violations(make_instance("sparse_pauli", 3, 2, terms, 0)) == (1, 0)
 
 
 @pytest.mark.parametrize("model,n,k,m", ALL_MODELS)
@@ -217,24 +224,21 @@ def test_dimension_mismatch_rejected():
 # decomposition
 # ---------------------------------------------------------------------------
 
-def test_single_term_has_no_cross_pieces():
-    rep = build_lindbladian(draw("sparse_pauli", 2, 1, m=1), y=-0.3)
-    dec = decompose_generator(rep)
-    assert dec.crosses == {}
-    assert len(dec.singles) == 1
-
-
 @pytest.mark.parametrize("model,n,k,m", [("sparse_pauli", 3, 2, 3), ("sparse_fermion", 6, 2, 3)])
 def test_reassembly_identity(model, n, k, m):
+    # Ldag = L0dag + sum_g s_g Lgdag + sum_{g<g'} s_g s_g' Lgg'dag
     rng = np.random.default_rng(17)
     inst = draw(model, n, k, m=m, seed=11)
     rep = build_lindbladian(inst, y=-0.2)
-    dec = decompose_generator(rep)
+    signs = inst.signs()
     for _ in range(10):
         obs = random_hermitian(rep.dim, rng)
-        direct = apply_generator_adjoint(rep, obs)
-        reassembled = dec.apply_adjoint(obs)
-        assert np.abs(direct - reassembled).max() < 1e-10
+        reassembled = zero_piece_adjoint(rep, obs)
+        for g in range(m):
+            reassembled = reassembled + signs[g] * single_piece_adjoint(rep, g, obs)
+        for g1, g2 in itertools.combinations(range(m), 2):
+            reassembled = reassembled + signs[g1] * signs[g2] * cross_piece_adjoint(rep, g1, g2, obs)
+        assert np.abs(apply_generator_adjoint(rep, obs) - reassembled).max() < 1e-10
 
 
 def test_pieces_match_raw_formulas():
@@ -280,12 +284,6 @@ def test_cross_piece_symmetric_in_arguments():
     ).max() < 1e-13
 
 
-def test_decompose_budget_guard():
-    rep = build_lindbladian(draw("sparse_pauli", 3, 1, m=5, seed=0), y=0.1)
-    with pytest.raises(CapacityError):
-        decompose_generator(rep, max_terms=4)
-
-
 # ---------------------------------------------------------------------------
 # norm bounds and combinatorial estimates
 # ---------------------------------------------------------------------------
@@ -293,22 +291,8 @@ def test_decompose_budget_guard():
 def test_sampled_piece_norms_under_closed_form_bounds():
     rng = np.random.default_rng(37)
     for model, n, k, m in [("sparse_pauli", 3, 2, 4), ("sparse_fermion", 6, 2, 4)]:
-        inst = draw(model, n, k, m=m, seed=13)
-        rep = build_lindbladian(inst, y=-0.2)
-        for g in range(len(inst.terms)):
-            observed = sampled_superop_norm(
-                lambda obs, g=g: single_piece_adjoint(rep, g, obs), rep.dim, 40, rng
-            )
-            assert observed <= single_piece_norm_bound(rep, g) + 1e-9
-        for g1 in range(len(inst.terms)):
-            for g2 in range(g1 + 1, len(inst.terms)):
-                observed = sampled_superop_norm(
-                    lambda obs, g1=g1, g2=g2: cross_piece_adjoint(rep, g1, g2, obs),
-                    rep.dim,
-                    40,
-                    rng,
-                )
-                assert observed <= cross_piece_norm_bound(rep, g1, g2) + 1e-9
+        rep = build_lindbladian(draw(model, n, k, m=m, seed=13), y=-0.2)
+        assert max(piece_norm_margins(rep, 40, rng)) <= 1e-9
 
 
 def test_cross_bound_commuting_pair_needs_doubled_constant():
@@ -347,7 +331,4 @@ def test_cross_bound_anticommuting_pair_keeps_paper_constant():
 def test_weighted_anticommute_sum_bound(model, n, k, m):
     for seed in range(5):
         inst = draw(model, n, k, m=m, seed=seed)
-        rep = build_lindbladian(inst, y=0.1)
-        cap = inst.a_loc * inst.k * inst.h_loc**2
-        for g in range(len(inst.terms)):
-            assert weighted_anticommute_sum(rep, g) <= cap + 1e-12
+        assert weighted_anticommute_margin(build_lindbladian(inst, y=0.1)) <= 1e-12
