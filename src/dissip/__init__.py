@@ -49,6 +49,7 @@ from .evolution import (
     evolve,
     heisenberg_evolve,
     maximally_mixed,
+    propagator,
 )
 from .experiment import (
     CellSpec,
@@ -72,6 +73,7 @@ from .lindblad import (
 from .operators import (
     MajoranaMonomial,
     PauliString,
+    commutes,
     majorana_commutes,
     pauli_commutes,
     pauli_mul,

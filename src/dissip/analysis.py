@@ -185,17 +185,6 @@ def rademacher_average_energy(
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
 
 
-def richardson_slope(instance, y, t, **kwargs) -> float:
-    """Two-point Richardson estimate of d/dt at 0 of the sign-averaged energy.
-
-    slope(tau) = mean(tau)/tau carries an O(tau) bias from the quadratic
-    remainder; 2 slope(t/2) - slope(t) cancels it.
-    """
-    coarse, _ = rademacher_average_energy(instance, y, t, **kwargs)
-    fine, _ = rademacher_average_energy(instance, y, t / 2.0, **kwargs)
-    return 2.0 * (fine / (t / 2.0)) - coarse / t
-
-
 @dataclass(frozen=True)
 class ResidualRow:
     t: float

@@ -1,13 +1,17 @@
 """Time evolution of states and observables under the dissipative generator.
 
-The workhorse is fixed-step classical RK4.  For the sampled models it runs
-on the real Pauli coefficient vector of the state (length N^2), one sparse
-product with the transfer matrix per stage; for the Gaussian models, and in
-the Heisenberg picture, it runs on the N x N matrix through the dense jump
-stacks, (2|A| + 2) matrix products per stage.  An exact oracle channel is
-available at small dimension by building the vectorized generator as an
-N^2 x N^2 matrix and applying ``scipy.linalg.expm`` (scaling and squaring);
-it is gated to N <= 64 and used for cross-checks and for the Choi matrix.
+The workhorse is fixed-step classical RK4 in the Schroedinger picture.  For
+the sampled models it runs on the real Pauli coefficient vector of the state
+(length N^2), one sparse product with the transfer matrix per stage; for the
+Gaussian models it runs on the N x N matrix through the dense jump stacks,
+(2|A| + 2) matrix products per stage.
+
+At small dimension the exact channel is the propagator P = e^(L t) of the
+N^2 x N^2 vectorized generator (``scipy.linalg.expm``, scaling and squaring),
+gated to N <= 64.  It is the only exponential here: ``evolve`` with
+``method="expm"`` applies P, the Heisenberg picture applies P^H (so
+``heisenberg_evolve`` is ``expm``-only), and the Choi matrix and the
+contraction check read a P passed in, so one exponential serves both.
 
 Step-size policy: the validity guard requires (generator norm bound) * dt
 <= 0.1; runs that violate it raise a refinement error carrying the suggested
@@ -29,12 +33,18 @@ from scipy.linalg import expm
 from .densemat import hermitian_deviation, random_hermitian, spectral_norm, unvec, vec
 from .ensembles import SAMPLED_MODELS
 from .errors import CapacityError, DimensionMismatchError, RefinementError, ValidationError
-from .lindblad import LindbladianRep, apply_generator, apply_generator_adjoint, transfer_matrix
+from .lindblad import LindbladianRep, apply_generator, transfer_matrix
 from .operators import from_pauli_coefficients, pauli_coefficients
 
 STEP_GUARD = 0.1          # max allowed (norm bound) * dt
 AUTO_STEP_TARGET = 0.05   # auto-selected dt aims at this instead
 EXPM_DIM_LIMIT = 64
+CHECKPOINTS = 8           # RK4 checks the spectrum every steps // CHECKPOINTS steps and at the end
+DRIFT_TRACE_TOL = 1e-9    # per-step trace drift that aborts RK4
+DRIFT_EIG_FLOOR = -1e-6   # checkpoint min eigenvalue that aborts RK4
+HERM_TOL = 1e-10          # validate_density_matrix thresholds
+TRACE_TOL = 1e-10
+EIG_FLOOR = -1e-8
 
 
 @dataclass(frozen=True)
@@ -44,9 +54,6 @@ class EvolutionConfig:
     t_final: float
     steps: int = 0
     method: str = "rk4"
-    trace_tol: float = 1e-9
-    eig_floor_abort: float = -1e-6
-    checkpoints: int = 8
 
     def __post_init__(self):
         if self.t_final < 0:
@@ -71,15 +78,18 @@ def density_matrix_diagnostics(rho: np.ndarray) -> dict:
     }
 
 
-def validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
-    diag = density_matrix_diagnostics(rho)
-    if diag["herm_dev"] > herm_tol:
+def _check_density(diag: dict) -> dict:
+    if diag["herm_dev"] > HERM_TOL:
         raise ValidationError(f"not Hermitian: deviation {diag['herm_dev']:.3e}")
-    if diag["trace_err"] > trace_tol:
+    if diag["trace_err"] > TRACE_TOL:
         raise ValidationError(f"trace off unity by {diag['trace_err']:.3e}")
-    if diag["min_eig"] < eig_floor:
+    if diag["min_eig"] < EIG_FLOOR:
         raise ValidationError(f"negative spectrum: min eigenvalue {diag['min_eig']:.3e}")
     return diag
+
+
+def validate_density_matrix(rho) -> dict:
+    return _check_density(density_matrix_diagnostics(rho))
 
 
 def required_steps(rep: LindbladianRep, t: float) -> int:
@@ -109,7 +119,7 @@ def _rk4(apply_fn, state, t, steps):
         yield state
 
 
-def vectorized_generator(rep: LindbladianRep, adjoint: bool = False) -> np.ndarray:
+def vectorized_generator(rep: LindbladianRep) -> np.ndarray:
     """N^2 x N^2 matrix of the generator on column-stacked operators."""
     dim = rep.dim
     if dim > EXPM_DIM_LIMIT:
@@ -120,12 +130,13 @@ def vectorized_generator(rep: LindbladianRep, adjoint: bool = False) -> np.ndarr
         kdk = k.conj().T @ k
         out += np.kron(k.conj(), k)
         out -= 0.5 * (np.kron(eye, kdk) + np.kron(kdk.T, eye))
-    return out.conj().T if adjoint else out
+    return out
 
 
-def _expm_apply(rep, mat, t, adjoint):
-    gen = vectorized_generator(rep, adjoint=adjoint)
-    return unvec(expm(gen * t) @ vec(mat), rep.dim)
+def propagator(rep: LindbladianRep, t: float) -> np.ndarray:
+    """P = e^(L t) on column-stacked operators; its conjugate transpose is the
+    Heisenberg-picture channel e^(Ldag t)."""
+    return expm(vectorized_generator(rep) * t)
 
 
 def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajectory=None) -> np.ndarray:
@@ -144,17 +155,17 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         validate_density_matrix(rho0)
         return rho0.copy()
     if cfg.method == "expm":
-        rho = _expm_apply(rep, rho0, t, adjoint=False)
+        rho = unvec(propagator(rep, t) @ vec(rho0), rep.dim)
         validate_density_matrix(rho)
         return rho
 
     steps = _resolve_steps(rep, cfg)
     dt = t / steps
-    every = max(1, steps // max(1, cfg.checkpoints))
+    every = max(1, steps // CHECKPOINTS)
 
     def record(step, rho):
         diag = density_matrix_diagnostics(rho)
-        if diag["min_eig"] < cfg.eig_floor_abort:
+        if diag["min_eig"] < DRIFT_EIG_FLOOR:
             raise RefinementError(
                 f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}",
                 suggested_steps=2 * steps,
@@ -170,6 +181,7 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
                     "min_eig": diag["min_eig"],
                 }
             )
+        return diag
 
     record(0, rho0)
     if rep.instance.model in SAMPLED_MODELS:
@@ -185,79 +197,71 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         trace, dense = np.trace, (lambda r: r)
     for step, state in enumerate(states, start=1):
         trace_err = abs(trace(state) - 1.0)
-        if trace_err > cfg.trace_tol:
+        if trace_err > DRIFT_TRACE_TOL:
             raise RefinementError(
-                f"trace drift {trace_err:.3e} beyond {cfg.trace_tol} at step {step}",
+                f"trace drift {trace_err:.3e} beyond {DRIFT_TRACE_TOL} at step {step}",
                 suggested_steps=2 * steps,
             )
         if step % every == 0 or step == steps:
             rho = dense(state)
-            record(step, rho)
-    validate_density_matrix(rho)
+            diag = record(step, rho)
+    _check_density(diag)  # the last checkpoint's diagnostics are those of rho
     return rho
 
 
 def heisenberg_evolve(rep: LindbladianRep, obs: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """O_t = e^(Ldag t)(O), the Heisenberg-picture dual of :func:`evolve`."""
+    """O_t = e^(Ldag t)(O) = P^H vec(O), the Heisenberg-picture dual of
+    :func:`evolve`; ``method`` must be ``"expm"``."""
+    if cfg.method != "expm":
+        raise ValidationError(f"the Heisenberg picture is expm-only, got method {cfg.method!r}")
     if obs.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(f"operator shape {obs.shape} vs generator dimension {rep.dim}")
-    t = cfg.t_final
-    if t == 0.0:
+    if cfg.t_final == 0.0:
         return obs.copy()
-    if cfg.method == "expm":
-        return _expm_apply(rep, obs, t, adjoint=True)
-    steps = _resolve_steps(rep, cfg)
-    out = obs
-    for out in _rk4(lambda o: apply_generator_adjoint(rep, o), obs, t, steps):
-        pass
-    return out
+    return unvec(propagator(rep, cfg.t_final).conj().T @ vec(obs), rep.dim)
 
 
-def choi_matrix(rep: LindbladianRep, t: float) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) channel(E_ij) of e^(L t).
+def choi_matrix(prop: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij E_ij (x) channel(E_ij) of the channel with
+    propagator ``prop``.
 
     Positive semidefinite iff the map is completely positive; the partial
     trace over the output factor equals I iff it is trace preserving.
     """
-    dim = rep.dim
-    channel = expm(vectorized_generator(rep) * t)  # raises CapacityError past EXPM_DIM_LIMIT
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            image = unvec(channel[:, i + dim * j], dim)
-            out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = image
-    return out
+    dim = math.isqrt(prop.shape[0])
+    # block (i, j) is unvec(prop[:, i + N j]): choi[i N + a, j N + b] = prop[a + N b, i + N j]
+    return prop.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(dim * dim, dim * dim)
 
 
 def choi_output_trace(choi: np.ndarray, dim: int) -> np.ndarray:
     """Partial trace of the Choi matrix over the channel-output factor."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = np.trace(choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim])
-    return out
+    return np.einsum("iaja->ij", choi.reshape(dim, dim, dim, dim))
 
 
-def choi_deviations(rep: LindbladianRep, t: float) -> tuple[float, float]:
+def choi_deviations(prop: np.ndarray) -> tuple[float, float]:
     """(max(0, -min eigenvalue), max |partial trace - I|) of the Choi matrix
-    of e^(L t); both vanish up to rounding for a CPTP map."""
-    choi = choi_matrix(rep, t)
+    of the channel with propagator ``prop``; both vanish up to rounding for a
+    CPTP map."""
+    dim = math.isqrt(prop.shape[0])
+    choi = choi_matrix(prop)
     min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
-    trace_dev = float(np.abs(choi_output_trace(choi, rep.dim) - np.eye(rep.dim)).max())
+    trace_dev = float(np.abs(choi_output_trace(choi, dim) - np.eye(dim)).max())
     return max(0.0, -min_eig), trace_dev
 
 
-def contraction_excess(rep: LindbladianRep, t: float, probes: int, rng: np.random.Generator) -> float:
-    """max over random Hermitian O of ||e^(Ldag t)(O)|| - ||O||.
+def contraction_excess(prop: np.ndarray, probes: int, rng: np.random.Generator) -> float:
+    """max over random Hermitian O of ||e^(Ldag t)(O)|| - ||O||, where
+    ``prop`` is the propagator e^(L t).
 
     A unital CP map contracts the operator norm, so this is <= 0 up to
-    rounding.  The propagator is exponentiated once for all probes; each
-    image equals ``heisenberg_evolve(rep, O, method="expm")`` bit for bit.
+    rounding.  Each image equals ``heisenberg_evolve(rep, O, method="expm")``
+    bit for bit.
     """
-    propagator = expm(vectorized_generator(rep, adjoint=True) * t)
+    dim = math.isqrt(prop.shape[0])
+    adjoint = prop.conj().T
     worst = -math.inf
     for _ in range(probes):
-        probe = random_hermitian(rep.dim, rng)
+        probe = random_hermitian(dim, rng)
         before = spectral_norm(probe, hermitian=True)
-        worst = max(worst, spectral_norm(unvec(propagator @ vec(probe), rep.dim)) - before)
+        worst = max(worst, spectral_norm(unvec(adjoint @ vec(probe), dim)) - before)
     return worst

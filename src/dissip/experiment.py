@@ -34,7 +34,14 @@ from .analysis import (
 )
 from .ensembles import EnsembleSpec, derive_seed, instance_to_dense, sample
 from .errors import DissipError, ValidationError
-from .evolution import EvolutionConfig, choi_deviations, contraction_excess, evolve, maximally_mixed
+from .evolution import (
+    EvolutionConfig,
+    choi_deviations,
+    contraction_excess,
+    evolve,
+    maximally_mixed,
+    propagator,
+)
 from .lindblad import (
     build_lindbladian,
     condition1_max_residual,
@@ -284,7 +291,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-cell aggregate; mean/m2/count support associative merging."""
+    """Per-cell aggregate: moments of the ok draws' energies and a bootstrap CI."""
 
     cell_id: str
     draws: int
@@ -347,17 +354,6 @@ def aggregate(results, bootstrap_seed: int = 0, resamples: int = BOOTSTRAP_RESAM
         mean_lambda_max=float(np.mean([r.lambda_max for r in ok])),
         cell_failed=(draws - len(ok)) > CELL_FAILURE_FRACTION * draws,
     )
-
-
-def merge_moments(count_a, mean_a, m2_a, count_b, mean_b, m2_b):
-    """Chan et al. parallel merge of (count, mean, sum of squared deviations)."""
-    count = count_a + count_b
-    if count == 0:
-        return 0, 0.0, 0.0
-    delta = mean_b - mean_a
-    mean = mean_a + delta * count_b / count
-    m2 = m2_a + m2_b + delta * delta * count_a * count_b / count
-    return count, mean, m2
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,7 @@ def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
         inst = sample(EnsembleSpec(model, n, k, m, seed=derive_seed(cfg.seed, "channel", model)))
         y, t = _params_for(inst, cfg)
         channels.append((build_lindbladian(inst, y), t))
-    chois = [choi_deviations(rep, t_choi) for rep, _ in channels for t_choi in (0.1, 0.5)]
+    chois = [choi_deviations(propagator(rep, t_choi)) for rep, _ in channels for t_choi in (0.1, 0.5)]
 
     return BoundCheckReport(checks=(
         Check.one_sided("condition1_unit_squares", max(map(condition1_max_residual, reps)), 0.0, 1e-12),
@@ -445,7 +441,8 @@ def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
         Check.one_sided("matrix_hoeffding_tail",
                         sum(max_eigenvalue(instance_to_dense(inst)) > tail_bound for inst in tails), 0.0, 0.0),
         Check.one_sided("heisenberg_contraction",
-                        max(contraction_excess(rep, t, cfg.probes, rng) for rep, t in channels), 0.0, 1e-8),
+                        max(contraction_excess(propagator(rep, t), cfg.probes, rng) for rep, t in channels),
+                        0.0, 1e-8),
         Check.one_sided("choi_positive_semidefinite", max(e for e, _ in chois), 0.0, 1e-8),
         Check.one_sided("choi_trace_preservation", max(d for _, d in chois), 0.0, 1e-9),
         Check.one_sided("schedule_guards", sum(not all(schedule_guards(*run)) for run in runs), 0.0, 0.0),

@@ -56,9 +56,8 @@ from .operators import (
     canonical_dense,
     canonical_phase,
     coefficient_index,
-    majorana_commutes,
+    commutes,
     majorana_to_pauli,
-    pauli_commutes,
     pauli_mul,
     popcount_table,
     string_phase_exponents,
@@ -83,12 +82,8 @@ def commutation_table(jumps, terms) -> np.ndarray:
     """b_ag flags (|A| x m), from the bit-level predicates only."""
     table = np.zeros((len(jumps), len(terms)), dtype=np.uint8)
     for a, base in enumerate(jumps):
-        fermionic = isinstance(base, MajoranaMonomial)
         for g, term in enumerate(terms):
-            if fermionic:
-                table[a, g] = majorana_commutes(base, term.op)
-            else:
-                table[a, g] = pauli_commutes(base, term.op)
+            table[a, g] = not commutes(base, term.op)
     return table
 
 
@@ -445,11 +440,7 @@ def cross_piece_norm_bound(rep: LindbladianRep, g1: int, g2: int) -> float:
     t1, t2 = rep.instance.terms[g1], rep.instance.terms[g2]
     both = int((rep.b_table[:, g1] & rep.b_table[:, g2]).sum())
     base = 8.0 * rep.y * rep.y * both * t1.h * t2.h
-    if isinstance(t1.op, MajoranaMonomial):
-        pair_flag = majorana_commutes(t1.op, t2.op)
-    else:
-        pair_flag = pauli_commutes(t1.op, t2.op)
-    return base * (2 - pair_flag)
+    return base * (1 + commutes(t1.op, t2.op))
 
 
 def sampled_superop_norm(apply_fn, dim: int, samples: int, rng: np.random.Generator) -> float:

@@ -201,6 +201,13 @@ def majorana_commutes(a: MajoranaMonomial, b: MajoranaMonomial) -> int:
     return (a.weight * b.weight + overlap) % 2
 
 
+def commutes(a, b) -> bool:
+    """True if two Pauli strings, or two Majorana monomials, commute."""
+    if isinstance(a, MajoranaMonomial):
+        return not majorana_commutes(a, b)
+    return not pauli_commutes(a, b)
+
+
 def jordan_wigner(mode: int, n_modes: int) -> PauliString:
     """Single Majorana chi_mode (0-based) as a Pauli string on n_modes/2 qubits."""
     if n_modes % 2:

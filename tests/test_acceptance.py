@@ -26,6 +26,7 @@ from dissip.evolution import (
     contraction_excess,
     evolve,
     maximally_mixed,
+    propagator,
     required_steps,
 )
 from dissip.experiment import CellSpec, ExperimentConfig, run_experiment
@@ -96,10 +97,11 @@ def test_c04_channel_validity():
         inst = _draw(model, n, k, m, "channel", i)
         rep = build_lindbladian(inst, schedule(inst).y)
         for t in (0.1, 0.5):
-            eig_dev, trace_dev = choi_deviations(rep, t)
+            prop = propagator(rep, t)
+            eig_dev, trace_dev = choi_deviations(prop)
             worst_eig = max(worst_eig, eig_dev)
             worst_trace = max(worst_trace, trace_dev)
-            worst_contract = max(worst_contract, contraction_excess(rep, t, 25, rng))
+            worst_contract = max(worst_contract, contraction_excess(prop, 25, rng))
     ok = worst_eig <= 1e-8 and worst_trace <= 1e-9 and worst_contract <= 1e-8
     _report(4, "channel validity", ok,
             f"Choi min eig >= -{worst_eig:.2e}, trace dev {worst_trace:.2e}, "

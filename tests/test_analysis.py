@@ -1,5 +1,6 @@
 """First-order identities, sign averaging, schedules, spectra, ratio statistics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dissip.analysis import (
     BoundCheckReport,
     Check,
     EnergyReport,
+    _signed_energy,
     default_c_t,
     default_c_y,
     energy,
@@ -20,7 +22,6 @@ from dissip.analysis import (
     max_eigenvalue,
     rademacher_average_energy,
     residual_reference,
-    richardson_slope,
     schedule,
     second_order_residual_scan,
     spectral_tail_bound,
@@ -158,7 +159,9 @@ def test_two_pattern_symmetry_single_term():
 
 
 def test_sample_mode_agrees_with_enumeration():
-    inst = draw("sparse_pauli", 2, 2, m=3, seed=6)
+    inst = draw("sparse_pauli", 2, 2, m=4, seed=6)
+    per_pattern = [_signed_energy(inst, p, -0.2, 0.1) for p in itertools.product((1, -1), repeat=4)]
+    assert max(per_pattern) - min(per_pattern) > 0.1  # so stderr > 0 is not rounding noise
     exact, _ = rademacher_average_energy(inst, y=-0.2, t=0.1)
     approx, stderr = rademacher_average_energy(
         inst, y=-0.2, t=0.1, mode="sample", samples=64, seed=1
@@ -179,14 +182,6 @@ def test_mode_validation():
         rademacher_average_energy(inst, y=0.1, t=0.1, mode="guess")
     with pytest.raises(ValidationError):
         rademacher_average_energy(inst, y=0.1, t=0.1, mode="sample", samples=1)
-
-
-def test_richardson_slope_recovers_t1():
-    inst = draw("sparse_pauli", 3, 2, m=3, seed=2)
-    y = -0.15
-    slope = richardson_slope(inst, y, t=2e-4)
-    t1_slope = first_order_term(inst, y, 1.0)
-    assert abs(slope - t1_slope) / abs(t1_slope) < 1e-6
 
 
 # ---------------------------------------------------------------------------

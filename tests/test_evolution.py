@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import draw, single_z_instance
 
-from dissip.densemat import random_hermitian, spectral_norm
+from dissip.densemat import random_hermitian, spectral_norm, unvec, vec
 from dissip.errors import CapacityError, RefinementError, ValidationError
 from dissip.evolution import (
     EvolutionConfig,
@@ -15,6 +15,7 @@ from dissip.evolution import (
     evolve,
     heisenberg_evolve,
     maximally_mixed,
+    propagator,
     required_steps,
     validate_density_matrix,
     vectorized_generator,
@@ -139,7 +140,7 @@ def test_validate_density_matrix_negative_control():
 def test_identity_is_adjoint_fixed_point():
     rep = rep_for("sparse_pauli", 2, 2, 3, 5, -0.2)
     eye = np.eye(4, dtype=complex)
-    out = heisenberg_evolve(rep, eye, EvolutionConfig(t_final=0.4))
+    out = heisenberg_evolve(rep, eye, EvolutionConfig(t_final=0.4, method="expm"))
     assert np.abs(out - eye).max() < 1e-9
 
 
@@ -147,17 +148,22 @@ def test_schroedinger_heisenberg_duality():
     rep = rep_for("sparse_pauli", 3, 2, 5, 11, -0.12)
     mu = maximally_mixed(3)
     h = rep.h_dense
-    cfg = EvolutionConfig(t_final=0.3)
-    schroedinger = np.trace(h @ evolve(rep, mu, cfg)).real
-    heisenberg = np.trace(heisenberg_evolve(rep, h, cfg) @ mu).real
+    schroedinger = np.trace(h @ evolve(rep, mu, EvolutionConfig(t_final=0.3))).real
+    heisenberg = np.trace(heisenberg_evolve(rep, h, EvolutionConfig(t_final=0.3, method="expm")) @ mu).real
     assert abs(schroedinger - heisenberg) < 1e-8
+
+
+def test_heisenberg_rk4_is_rejected():
+    rep = rep_for("sparse_pauli", 2, 2, 3, 5, -0.2)
+    with pytest.raises(ValidationError):
+        heisenberg_evolve(rep, np.eye(4, dtype=complex), EvolutionConfig(t_final=0.4, method="rk4"))
 
 
 @pytest.mark.parametrize("t", [0.05, 0.2])
 def test_heisenberg_contraction(t):
     rng = np.random.default_rng(13)
     rep = rep_for("sparse_fermion", 6, 2, 5, 2, -0.15)
-    assert contraction_excess(rep, t, 50, rng) <= 1e-8
+    assert contraction_excess(propagator(rep, t), 50, rng) <= 1e-8
 
 
 def test_contraction_excess_matches_heisenberg_evolve_per_probe():
@@ -169,14 +175,7 @@ def test_contraction_excess_matches_heisenberg_evolve_per_probe():
         obs = random_hermitian(rep.dim, rng)
         before = spectral_norm(obs, hermitian=True)
         per_probe.append(spectral_norm(heisenberg_evolve(rep, obs, cfg)) - before)
-    assert contraction_excess(rep, 0.3, 6, np.random.default_rng(5)) == max(per_probe)
-
-
-def test_vectorized_adjoint_is_conjugate_transpose():
-    rep = rep_for("sparse_pauli", 2, 1, 2, 0, -0.1)
-    gen = vectorized_generator(rep)
-    adj = vectorized_generator(rep, adjoint=True)
-    assert np.abs(adj - gen.conj().T).max() < 1e-14
+    assert contraction_excess(propagator(rep, 0.3), 6, np.random.default_rng(5)) == max(per_probe)
 
 
 def test_vectorized_generator_matches_direct_application():
@@ -194,7 +193,7 @@ def test_expm_gate_capacity():
     with pytest.raises(CapacityError):
         vectorized_generator(rep)
     with pytest.raises(CapacityError):
-        choi_matrix(rep, 0.1)
+        propagator(rep, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def test_expm_gate_capacity():
 
 def test_choi_identity_channel_at_zero_time():
     rep = rep_for("sparse_pauli", 2, 1, 2, 4, -0.1)
-    choi = choi_matrix(rep, 0.0)
+    choi = choi_matrix(propagator(rep, 0.0))
     dim = rep.dim
     omega = np.zeros((dim * dim, 1), dtype=complex)
     for i in range(dim):
@@ -216,8 +215,23 @@ def test_choi_identity_channel_at_zero_time():
 @pytest.mark.parametrize("seed", range(3))
 def test_choi_psd_and_trace_preserving(seed):
     rep = rep_for("sparse_pauli", 2, 2, 4, seed, -0.2)
-    choi = choi_matrix(rep, 0.3)
+    choi = choi_matrix(propagator(rep, 0.3))
     assert np.abs(choi - choi.conj().T).max() < 1e-10
     assert np.linalg.eigvalsh((choi + choi.conj().T) / 2).min() >= -1e-8
     ptrace = choi_output_trace(choi, rep.dim)
     assert np.abs(ptrace - np.eye(rep.dim)).max() < 1e-9
+
+
+def test_choi_blocks_are_images_of_matrix_units():
+    rep = rep_for("sparse_pauli", 2, 2, 4, 8, -0.2)  # N = 4
+    dim = rep.dim
+    prop = propagator(rep, 0.3)
+    choi = choi_matrix(prop)
+    ptrace = choi_output_trace(choi, dim)
+    for i in range(dim):
+        for j in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j] = 1.0
+            block = choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim]
+            assert np.array_equal(block, unvec(prop @ vec(unit), dim))
+            assert ptrace[i, j] == pytest.approx(np.trace(block), abs=1e-15)

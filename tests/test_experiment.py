@@ -14,7 +14,6 @@ from dissip.experiment import (
     VerifyConfig,
     aggregate,
     config_from_json,
-    merge_moments,
     run_cell,
     run_draw,
     run_experiment,
@@ -146,22 +145,6 @@ def test_aggregate_rejects_empty_and_mixed_cells():
         aggregate([])
     with pytest.raises(ValidationError):
         aggregate([_fake_result("a", 0, 0.1), _fake_result("b", 0, 0.1)])
-
-
-def test_merge_of_halves_matches_whole():
-    rng = np.random.default_rng(5)
-    energies = rng.normal(size=20)
-    results = [_fake_result("c", i, e) for i, e in enumerate(energies)]
-    whole = aggregate(results, resamples=0)
-    first = aggregate(results[:9], resamples=0)
-    second = aggregate(results[9:], resamples=0)
-    count, mean, m2 = merge_moments(
-        first.draws_ok, first.mean_energy, first.m2,
-        second.draws_ok, second.mean_energy, second.m2,
-    )
-    assert count == whole.draws_ok
-    assert mean == pytest.approx(whole.mean_energy, abs=1e-14)
-    assert m2 / (count - 1) == pytest.approx(whole.variance, abs=1e-14)
 
 
 def test_bootstrap_is_seeded_and_brackets_mean():

@@ -16,6 +16,7 @@ from dissip.operators import (
     PauliString,
     canonical_dense,
     canonical_phase,
+    commutes,
     decode_op,
     encode_op,
     jordan_wigner,
@@ -95,6 +96,7 @@ def test_every_pauli_squares_to_plus_identity():
 )
 def test_commutes_examples(a, b, flag):
     assert pauli_commutes(a, b) == flag
+    assert commutes(a, b) == (flag == 0)
     da, db = to_dense(a), to_dense(b)
     comm = da @ db - db @ da
     assert (np.abs(comm).max() < 1e-12) == (flag == 0)
@@ -112,6 +114,7 @@ def test_majorana_commutes_examples(a_modes, b_modes, flag):
     a = MajoranaMonomial.from_modes(6, a_modes)
     b = MajoranaMonomial.from_modes(6, b_modes)
     assert majorana_commutes(a, b) == flag
+    assert commutes(a, b) == (flag == 0)
     da, db = to_dense(a), to_dense(b)
     comm = da @ db - db @ da
     assert (np.abs(comm).max() < 1e-12) == (flag == 0)
