@@ -7,16 +7,14 @@ ratio grows like sqrt(n/k); the log-log fit should sit near slope 1/2.
 """
 
 import argparse
-import math
 
-from dissip.analysis import glo_loc_ratio_stats, loglog_slope
-from dissip.ensembles import EnsembleSpec
+from dissip.analysis import concentration_m, glo_loc_ratio_stats, loglog_slope
+from dissip.ensembles import SAMPLED_MODELS, EnsembleSpec
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--model", default="sparse_pauli",
-                        choices=["sparse_pauli", "sparse_fermion"])
+    parser.add_argument("--model", default="sparse_pauli", choices=SAMPLED_MODELS)
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--sizes", default="8,16,32,64,128")
     parser.add_argument("--draws", type=int, default=200)
@@ -24,11 +22,7 @@ def main():
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    specs = [
-        EnsembleSpec(args.model, n, args.k,
-                     max(1, math.ceil(4 * n * math.log(n) / args.k)), seed=0)
-        for n in sizes
-    ]
+    specs = [EnsembleSpec(args.model, n, args.k, concentration_m(n, args.k), seed=0) for n in sizes]
     rows = glo_loc_ratio_stats(specs, draws=args.draws, master_seed=args.seed)
 
     print(f"{'n':>5s} {'m':>6s} {'mean ratio':>11s} {'stderr':>9s}")

@@ -18,21 +18,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .ensembles import (
+    SAMPLED_MODELS,
     EnsembleSpec,
     HamiltonianInstance,
     derive_seed,
-    instance_to_dense,
     is_fermionic,
     sample_strength_stats,
     with_signs,
 )
 from .errors import DimensionMismatchError, EnumerationBudgetError, ValidationError
-from .evolution import EvolutionConfig, heisenberg_evolve
+from .evolution import EvolutionConfig, evolve, maximally_mixed
 from .lindblad import LindbladianRep, build_lindbladian, single_piece_adjoint
 
 ENUMERATION_BUDGET = 20  # enumerate mode allows at most 2^20 sign patterns
@@ -83,7 +83,7 @@ def spectral_tail_bound(model: str, n: int, delta: float) -> float:
     """
     qubits = n // 2 if is_fermionic(model) else n
     dim = 2.0**qubits
-    denom = 8.0 if model in ("sparse_pauli", "sparse_fermion") else 2.0
+    denom = 8.0 if model in SAMPLED_MODELS else 2.0
     return math.sqrt(denom * math.log(2.0 * dim / delta))
 
 
@@ -137,18 +137,23 @@ def schedule(instance: HamiltonianInstance, c_y: float | None = None, c_t: float
     return Schedule(c_y=c_y, c_t=c_t, y=y, t=t, guard_time_ok=time_ok, guard_coupling_ok=coupling_ok)
 
 
+def resolve_schedule(instance: HamiltonianInstance, y=None, t=None, c_y=None, c_t=None) -> tuple[float, float]:
+    """(y, t): each override where given, the rest from schedule(instance, c_y, c_t)."""
+    if y is None or t is None:
+        sched = schedule(instance, c_y=c_y, c_t=c_t)
+        y = sched.y if y is None else y
+        t = sched.t if t is None else t
+    return y, t
+
+
 # ---------------------------------------------------------------------------
 # sign averaging
 # ---------------------------------------------------------------------------
 
 def _signed_energy(instance, signs, y, t) -> float:
-    signed = with_signs(instance, signs)
-    if t == 0.0:
-        h = instance_to_dense(signed)
-        return float(np.trace(h).real) / h.shape[0]
-    rep = build_lindbladian(signed, y)
-    evolved = heisenberg_evolve(rep, rep.h_dense, EvolutionConfig(t_final=t, method="expm"))
-    return float(np.trace(evolved).real) / rep.dim
+    rep = build_lindbladian(with_signs(instance, signs), y)
+    rho = evolve(rep, maximally_mixed(instance.qubits), EvolutionConfig(t_final=t, method="expm"))
+    return energy(rho, rep.h_dense)
 
 
 def rademacher_average_energy(
@@ -159,8 +164,8 @@ def rademacher_average_energy(
     samples: int = 0,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Mean of normalized_trace(e^(Ldag t)(H)) over the sign patterns, each
-    evolved with the ``expm`` oracle.
+    """Mean over the sign patterns of the achieved energy Tr[e^(L t)(mu) H],
+    each pattern evolved like a draw but with the ``expm`` oracle.
 
     ``enumerate`` averages all 2^m patterns exactly (stderr 0); ``sample``
     draws patterns from a seeded stream and reports the sample stderr.
@@ -233,6 +238,11 @@ def residual_reference(instance: HamiltonianInstance, y: float) -> float:
 # global/local energy ratio statistics (no dense matrices)
 # ---------------------------------------------------------------------------
 
+def concentration_m(n: int, k: int) -> int:
+    """Sampled-model term count for the concentration regime, ceil(4 n ln n / k)."""
+    return max(1, math.ceil(4.0 * n * math.log(n) / k))
+
+
 def glo_loc_ratio_stats(spec_grid, draws: int, master_seed: int = 0) -> list[dict]:
     """Mean and stderr of h_glo^2 / h_loc per grid cell, supports-only sampling."""
     if draws < 1:
@@ -282,15 +292,7 @@ class EnergyReport:
     t: float
 
     def to_dict(self) -> dict:
-        return {
-            "achieved": self.achieved,
-            "t1_prediction": self.t1_prediction,
-            "residual": self.residual,
-            "lambda_max": self.lambda_max,
-            "ratio": self.ratio,
-            "y": self.y,
-            "t": self.t,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -351,19 +353,5 @@ class BoundCheckReport:
         ]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "all_passed": self.all_passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "lhs": c.lhs,
-                        "rhs": c.rhs,
-                        "tolerance": c.tolerance,
-                        "passed": c.passed,
-                    }
-                    for c in self.checks
-                ],
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps({"all_passed": self.all_passed, "checks": [asdict(c) for c in self.checks]},
+                          separators=(",", ":"))

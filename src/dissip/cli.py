@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import energy_report, glo_loc_ratio_stats, schedule, spectral_tail_bound
+from .analysis import concentration_m, energy_report, glo_loc_ratio_stats, resolve_schedule, spectral_tail_bound
 from .ensembles import (
+    MODELS,
+    SAMPLED_MODELS,
     EnsembleSpec,
     instance_to_dense,
     instance_to_json,
@@ -80,13 +81,12 @@ def write_results(results, stats, results_csv, stats_json=None, manifest_json=No
             fh.write("\n")
 
 
-def _ensemble_args(parser, need_seed_default=True):
-    parser.add_argument("--model", required=True,
-                        choices=["gaussian_pauli", "syk", "sparse_pauli", "sparse_fermion"])
+def _ensemble_args(parser):
+    parser.add_argument("--model", required=True, choices=MODELS)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0 if need_seed_default else None)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _spec_from(args) -> EnsembleSpec:
@@ -101,10 +101,7 @@ def cmd_sample(args) -> int:
 
 def cmd_evolve(args) -> int:
     instance = sample(_spec_from(args))
-    if args.y is None or args.t is None:
-        sched = schedule(instance, c_y=args.c_y, c_t=args.c_t)
-    y = args.y if args.y is not None else sched.y
-    t = args.t if args.t is not None else sched.t
+    y, t = resolve_schedule(instance, args.y, args.t, args.c_y, args.c_t)
     rep = build_lindbladian(instance, y)
     trajectory = [] if args.trajectory else None
     rho = evolve(
@@ -206,9 +203,8 @@ def cmd_ratio_stats(args) -> int:
             m_values = m_values * len(n_values)
         if len(m_values) != len(n_values):
             raise ValidationError("--m-list length must match --n-list")
-    elif args.model in ("sparse_pauli", "sparse_fermion"):
-        # density high enough for the concentration regime: ceil(4 n ln n / k)
-        m_values = [max(1, math.ceil(4.0 * n * math.log(n) / args.k)) for n in n_values]
+    elif args.model in SAMPLED_MODELS:
+        m_values = [concentration_m(n, args.k) for n in n_values]
     else:
         m_values = [None] * len(n_values)
     specs = [
@@ -256,14 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
+    defaults = VerifyConfig()
     p = sub.add_parser("verify", help="run the identity and bound check suite")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--instances", type=int, default=3)
-    p.add_argument("--condition-instances", dest="condition_instances", type=int, default=25)
-    p.add_argument("--probes", type=int, default=30)
-    p.add_argument("--tail-draws", dest="tail_draws", type=int, default=30)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--y", type=float, default=defaults.y)
+    p.add_argument("--t", type=float, default=defaults.t)
+    p.add_argument("--instances", type=int, default=defaults.instances_per_model)
+    p.add_argument("--condition-instances", dest="condition_instances", type=int,
+                   default=defaults.condition_instances)
+    p.add_argument("--probes", type=int, default=defaults.probes)
+    p.add_argument("--tail-draws", dest="tail_draws", type=int, default=defaults.tail_draws)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -275,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("ratio-stats", help="h_glo^2 / h_loc statistics, no dense matrices")
-    p.add_argument("--model", required=True,
-                   choices=["gaussian_pauli", "syk", "sparse_pauli", "sparse_fermion"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated sizes")
     p.add_argument("--m-list", dest="m_list", default=None)

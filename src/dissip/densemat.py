@@ -51,9 +51,9 @@ def spectral_norm(mat: np.ndarray, hermitian: bool = False) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -125,11 +125,10 @@ def vectorized_generator(rep: LindbladianRep) -> np.ndarray:
     if dim > EXPM_DIM_LIMIT:
         raise CapacityError(f"vectorized generator at N = {dim} exceeds the N <= {EXPM_DIM_LIMIT} gate")
     eye = np.eye(dim)
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    kdk = rep.kdagk_sum
+    out = -0.5 * (np.kron(eye, kdk) + np.kron(kdk.T, eye))
     for k in rep.k_stack:
-        kdk = k.conj().T @ k
         out += np.kron(k.conj(), k)
-        out -= 0.5 * (np.kron(eye, kdk) + np.kron(kdk.T, eye))
     return out
 
 
@@ -159,6 +158,21 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         validate_density_matrix(rho)
         return rho
 
+    # the operator comes first, so its byte checks run before the O(N^3)
+    # step bound and checkpoint spectra
+    if rep.instance.model in SAMPLED_MODELS:
+        transfer = transfer_matrix(rep)
+        # the coefficient vector is real, so an anti-Hermitian part would be lost
+        deviation = hermitian_deviation(rho0)
+        if deviation > HERM_TOL:
+            raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
+        apply_fn, state0 = (lambda r: transfer @ r), pauli_coefficients(rho0)
+        trace, dense = (lambda r: r[0]), from_pauli_coefficients
+    else:
+        rep.kdagk_sum  # builds the dense stacks apply_generator multiplies
+        apply_fn, state0 = (lambda r: apply_generator(rep, r)), rho0
+        trace, dense = np.trace, (lambda r: r)
+
     steps = _resolve_steps(rep, cfg)
     dt = t / steps
     every = max(1, steps // CHECKPOINTS)
@@ -184,18 +198,7 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         return diag
 
     record(0, rho0)
-    if rep.instance.model in SAMPLED_MODELS:
-        # the coefficient vector is real, so an anti-Hermitian part would be lost
-        deviation = hermitian_deviation(rho0)
-        if deviation > 1e-10:
-            raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
-        transfer = transfer_matrix(rep)
-        states = _rk4(lambda r: transfer @ r, pauli_coefficients(rho0), t, steps)
-        trace, dense = (lambda r: r[0]), from_pauli_coefficients
-    else:
-        states = _rk4(lambda r: apply_generator(rep, r), rho0, t, steps)
-        trace, dense = np.trace, (lambda r: r)
-    for step, state in enumerate(states, start=1):
+    for step, state in enumerate(_rk4(apply_fn, state0, t, steps), start=1):
         trace_err = abs(trace(state) - 1.0)
         if trace_err > DRIFT_TRACE_TOL:
             raise RefinementError(

@@ -27,7 +27,7 @@ from .analysis import (
     energy_report,
     max_eigenvalue,
     rademacher_average_energy,
-    schedule,
+    resolve_schedule,
     schedule_guards,
     spectral_tail_bound,
     t1_identity_error,
@@ -234,10 +234,7 @@ def run_draw(config: ExperimentConfig, cell: CellSpec, draw: int) -> RunResult:
     start = time.perf_counter()
     try:
         instance = sample(cell.ensemble(seed))
-        if cell.y is None or cell.t is None:
-            sched = schedule(instance, c_y=cell.c_y, c_t=cell.c_t)
-        y = cell.y if cell.y is not None else sched.y
-        t = cell.t if cell.t is not None else sched.t
+        y, t = resolve_schedule(instance, cell.y, cell.t, cell.c_y, cell.c_t)
         rep = build_lindbladian(instance, y)
         rho_t = evolve(
             rep,
@@ -315,7 +312,7 @@ class EnsembleStats:
         return doc
 
 
-def aggregate(results, bootstrap_seed: int = 0, resamples: int = BOOTSTRAP_RESAMPLES) -> EnsembleStats:
+def aggregate(results, bootstrap_seed: int = 0) -> EnsembleStats:
     if not results:
         raise ValidationError("cannot aggregate an empty result list")
     cell_ids = {r.cell_id for r in results}
@@ -334,9 +331,9 @@ def aggregate(results, bootstrap_seed: int = 0, resamples: int = BOOTSTRAP_RESAM
     mean = float(energies.mean())
     m2 = float(((energies - mean) ** 2).sum())
     stderr = math.sqrt(m2 / (len(ok) - 1) / len(ok)) if len(ok) > 1 else 0.0
-    if len(ok) > 1 and resamples > 0:
+    if len(ok) > 1:
         rng = np.random.default_rng(bootstrap_seed)
-        idx = rng.integers(0, len(ok), size=(resamples, len(ok)))
+        idx = rng.integers(0, len(ok), size=(BOOTSTRAP_RESAMPLES, len(ok)))
         means = energies[idx].mean(axis=1)
         ci_low, ci_high = (float(q) for q in np.percentile(means, [2.5, 97.5]))
     else:
@@ -396,17 +393,10 @@ def _verify_instances(cfg, tag, count):
             yield sample(EnsembleSpec(model=model, n=n, k=k, m=m, seed=seed))
 
 
-def _params_for(instance, cfg):
-    sched = schedule(instance)
-    y = cfg.y if cfg.y is not None else sched.y
-    t = cfg.t if cfg.t is not None else sched.t
-    return y, t
-
-
 def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
     """Run every named exact identity and bound check; all must pass."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "verify", "probes"))
-    runs = [(inst, *_params_for(inst, cfg))
+    runs = [(inst, *resolve_schedule(inst, cfg.y, cfg.t))
             for inst in _verify_instances(cfg, "verify", cfg.instances_per_model)]
     reps = [build_lindbladian(inst, y) for inst, y, _ in runs]
     # rng feeds these piece norms first, then the contraction probes below
@@ -421,7 +411,7 @@ def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
     channels = []
     for model, n, k, m in (("sparse_pauli", 2, 2, 3), ("sparse_fermion", 4, 2, 3)):
         inst = sample(EnsembleSpec(model, n, k, m, seed=derive_seed(cfg.seed, "channel", model)))
-        y, t = _params_for(inst, cfg)
+        y, t = resolve_schedule(inst, cfg.y, cfg.t)
         channels.append((build_lindbladian(inst, y), t))
     chois = [choi_deviations(propagator(rep, t_choi)) for rep, _ in channels for t_choi in (0.1, 0.5)]
 

@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from scipy.sparse import csr_matrix
 
 from .densemat import check_budget, check_dense_budget, random_hermitian, spectral_norm
 from .ensembles import HamiltonianInstance, instance_to_dense
@@ -115,41 +113,73 @@ class _cached:
         return value
 
 
+# one jump's dense A, A H, H A, commutator and SVD copy
+_JUMP_TEMPORARIES = 5
+
+
 @dataclass(frozen=True)
 class LindbladianRep:
-    """Working forms of the generator for one Hamiltonian draw.
+    """The generator of one Hamiltonian draw, ``(instance, y)``.
 
-    ``k_stack`` and ``norm_bound`` are built with the rep.  The daggered
-    stack and sum K^dag K that :func:`apply_generator` and
-    :func:`apply_generator_adjoint` multiply are built on first use, and so
-    are the dense jumps and terms that only the piece adjoints and the
-    verify checks read.  The RK4 of the sampled models needs none of them:
-    it runs on :func:`transfer_matrix`.
+    Every working form is built on first use and checks its own bytes before
+    it allocates.  The RK4 of the sampled models runs on
+    :func:`transfer_matrix` and never builds a dense jump stack.
     """
 
     instance: HamiltonianInstance
     y: float
-    b_table: np.ndarray
-    h_dense: np.ndarray
-    k_stack: np.ndarray        # (|A|, N, N), all K^a stacked
-    norm_bound: float = field(default=0.0)
 
     @property
     def dim(self) -> int:
-        return self.h_dense.shape[0]
+        return 1 << self.instance.qubits
+
+    @_cached
+    def b_table(self) -> np.ndarray:
+        """b_ag commutation flags (|A| x m)."""
+        jumps = build_jump_set(self.instance)
+        check_budget("commutation table", len(jumps) * len(self.instance.terms))
+        return commutation_table(jumps, self.instance.terms)
+
+    @_cached
+    def h_dense(self) -> np.ndarray:
+        """Dense H = sum_g s_g h_g U_g."""
+        return instance_to_dense(self.instance)
+
+    def _jumps(self):
+        """Each dense K^a = A^a + y [A^a, H], one at a time, in jump-set order."""
+        h_dense = self.h_dense
+        for base in build_jump_set(self.instance):
+            a_dense = to_dense(base)
+            yield a_dense + self.y * (a_dense @ h_dense - h_dense @ a_dense)
+
+    @_cached
+    def k_stack(self) -> np.ndarray:
+        """(|A|, N, N), all K^a stacked."""
+        n_jumps = len(self.b_table)
+        check_dense_budget("jump stack", self.dim, n_jumps + 1 + _JUMP_TEMPORARIES)
+        return np.fromiter(self._jumps(), dtype=(complex, (self.dim, self.dim)), count=n_jumps)
+
+    @_cached
+    def norm_bound(self) -> float:
+        """sum_a 2 ||K^a||^2, the step guard's generator norm bound; no stack is held."""
+        check_dense_budget("generator norm bound", self.dim, 1 + _JUMP_TEMPORARIES)
+        bound = 0.0
+        for k in self._jumps():
+            bound += 2.0 * spectral_norm(k) ** 2
+        return bound
 
     @_cached
     def k_stack_dag(self) -> np.ndarray:
         """(|A|, N, N) daggered copies of the jumps."""
         # the stack plus the two (|A|, N, N) temporaries of apply_generator
-        check_dense_budget("adjoint jump stack", self.dim, 3 * self.k_stack.shape[0])
+        check_dense_budget("adjoint jump stack", self.dim, 3 * len(self.b_table))
         return np.ascontiguousarray(self.k_stack.conj().transpose(0, 2, 1))
 
     @_cached
     def kdagk_sum(self) -> np.ndarray:
         """sum_a K^a_dag K^a."""
         # the (|A|, N, N) stack of products plus their sum
-        check_dense_budget("sum of K^dag K", self.dim, self.k_stack.shape[0] + 1)
+        check_dense_budget("sum of K^dag K", self.dim, len(self.b_table) + 1)
         return (self.k_stack_dag @ self.k_stack).sum(axis=0)
 
     @_cached
@@ -164,28 +194,10 @@ class LindbladianRep:
 
 
 def build_lindbladian(instance: HamiltonianInstance, y: float) -> LindbladianRep:
-    """Materialize the jump stack, its norm bound and the commutation table for a draw."""
-    bases = build_jump_set(instance)
-    # the stack and h_dense, plus one jump's A, A H, H A, commutator and SVD copy
-    check_dense_budget("generator", 1 << instance.qubits, len(bases) + 6)
-    h_dense = instance_to_dense(instance)
-    dim = h_dense.shape[0]
-    b_table = commutation_table(bases, instance.terms)
-    k_stack = np.empty((len(bases), dim, dim), dtype=complex)
-    bound = 0.0
-    for a, base in enumerate(bases):
-        a_dense = to_dense(base)
-        k = a_dense + y * (a_dense @ h_dense - h_dense @ a_dense)
-        k_stack[a] = k
-        bound += 2.0 * spectral_norm(k) ** 2
-    return LindbladianRep(
-        instance=instance,
-        y=y,
-        b_table=b_table,
-        h_dense=h_dense,
-        k_stack=k_stack,
-        norm_bound=bound,
-    )
+    """The generator of a draw; it does no dense work, and checks only that
+    the dense H plus one jump's temporaries fit."""
+    check_dense_budget("generator", 1 << instance.qubits, 1 + _JUMP_TEMPORARIES)
+    return LindbladianRep(instance=instance, y=y)
 
 
 def _check_dim(rep: LindbladianRep, mat: np.ndarray):
@@ -280,7 +292,7 @@ def _shift_groups(rep: LindbladianRep) -> dict:
     return groups
 
 
-def transfer_matrix(rep: LindbladianRep) -> csr_matrix:
+def transfer_matrix(rep: LindbladianRep):
     """Real sparse T with pauli_coefficients(L(rho)) = T pauli_coefficients(rho).
 
     T[Q ^ s, Q] is the shift-s column vector of :func:`_shift_groups`, one
@@ -289,6 +301,8 @@ def transfer_matrix(rep: LindbladianRep) -> csr_matrix:
     arrays, so no vector outlives its shift.  T^T is the Heisenberg-picture
     generator on the same coefficients.
     """
+    from scipy.sparse import csr_matrix  # only the sampled RK4 needs it
+
     q = rep.instance.qubits
     size = 1 << (2 * q)
     low = (1 << q) - 1
@@ -372,7 +386,7 @@ def zero_piece_adjoint(rep: LindbladianRep, obs: np.ndarray) -> np.ndarray:
     """L0dag(O), including the absorbed g = g' diagonal."""
     _check_dim(rep, obs)
     y2 = rep.y * rep.y
-    n_jumps = rep.k_stack.shape[0]
+    n_jumps = len(rep.base_denses)
     out = _conjugated_sum(rep, obs, range(n_jumps)) - n_jumps * obs
     for g, term in enumerate(rep.instance.terms):
         active = np.flatnonzero(rep.b_table[:, g])

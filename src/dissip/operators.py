@@ -138,10 +138,6 @@ class MajoranaMonomial:
     def weight(self) -> int:
         return self.occ.bit_count()
 
-    @property
-    def even_weight(self) -> bool:
-        return self.weight % 2 == 0
-
     def modes(self) -> tuple:
         return tuple(i for i in range(self.n) if (self.occ >> i) & 1)
 

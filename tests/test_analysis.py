@@ -22,6 +22,7 @@ from dissip.analysis import (
     max_eigenvalue,
     rademacher_average_energy,
     residual_reference,
+    resolve_schedule,
     schedule,
     second_order_residual_scan,
     spectral_tail_bound,
@@ -31,7 +32,7 @@ from dissip.densemat import random_density
 from dissip.ensembles import EnsembleSpec, instance_to_dense, sample, with_signs
 from dissip.errors import EnumerationBudgetError, ValidationError
 from dissip.evolution import EvolutionConfig, evolve, heisenberg_evolve, maximally_mixed
-from dissip.lindblad import build_lindbladian
+from dissip.lindblad import LindbladianRep, build_lindbladian
 
 ALL_MODELS = [
     ("gaussian_pauli", 3, 2, None),
@@ -168,6 +169,24 @@ def test_sample_mode_agrees_with_enumeration():
     )
     assert stderr > 0.0
     assert abs(approx - exact) < 5 * stderr + 1e-12
+
+
+def test_sign_average_never_computes_norm_bound(monkeypatch):
+    bounded = []
+    monkeypatch.setattr(LindbladianRep, "norm_bound", property(lambda rep: bounded.append(rep) or 1.0))
+    inst = draw("sparse_pauli", 2, 2, m=3, seed=6)
+    for t in (0.0, 0.1):
+        rademacher_average_energy(inst, y=-0.2, t=t)
+    assert bounded == []
+
+
+def test_resolve_schedule_overrides_each_value():
+    inst = draw("sparse_pauli", 3, 2, m=5, seed=0)
+    sched = schedule(inst, c_y=0.2, c_t=0.4)
+    assert resolve_schedule(inst, c_y=0.2, c_t=0.4) == (sched.y, sched.t)
+    assert resolve_schedule(inst, y=-0.3, c_t=0.4) == (-0.3, sched.t)
+    assert resolve_schedule(inst, t=0.05, c_y=0.2) == (sched.y, 0.05)
+    assert resolve_schedule(single_z_instance(), y=-0.3, t=0.05, c_y=-1.0) == (-0.3, 0.05)
 
 
 def test_enumeration_budget():

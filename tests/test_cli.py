@@ -1,13 +1,19 @@
 """CLI contract: subcommands, exit codes, and byte-stable serialization."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dissip.cli import CSV_COLUMNS, main, write_results
+import dissip
+from dissip.cli import CSV_COLUMNS, build_parser, main, write_results
 from dissip.ensembles import instance_from_json, instance_to_json
-from dissip.experiment import config_from_json
+from dissip.experiment import VerifyConfig, config_from_json
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +286,26 @@ def test_verify_small_passes(capsys, tmp_path):
     assert "all checks passed" in out
     doc = json.loads(out_json.read_text())
     assert doc["all_passed"] is True
+
+
+def test_verify_defaults_are_verify_config():
+    args = build_parser().parse_args(["verify"])
+    cfg = VerifyConfig()
+    flags = {"instances_per_model": "instances"}
+    assert {f.name: getattr(args, flags.get(f.name, f.name)) for f in dataclasses.fields(cfg)} \
+        == dataclasses.asdict(cfg)
+
+
+def test_verify_run_never_imports_scipy_sparse():
+    # only the sampled RK4 builds a transfer matrix; verify pays no import for it
+    script = ("import sys; from dissip.cli import main; "
+              "code = main(['verify', '--instances', '1', '--condition-instances', '1', "
+              "'--probes', '1', '--tail-draws', '1']); "
+              "print(code, 'scipy.sparse' in sys.modules)")
+    src = str(Path(dissip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 @pytest.mark.parametrize("flag", ["--instances", "--condition-instances", "--probes", "--tail-draws"])

@@ -19,6 +19,7 @@ from dissip.experiment import (
     run_experiment,
     verify_suite,
 )
+from dissip.lindblad import LindbladianRep
 
 CELL = CellSpec(cell_id="spin", model="sparse_pauli", n=3, k=2, m=4)
 FERMI_CELL = CellSpec(cell_id="fermi", model="sparse_fermion", n=6, k=2, m=4)
@@ -231,6 +232,13 @@ def test_verify_suite_default_passes():
         "choi_trace_preservation",
         "schedule_guards",
     ]
+
+
+def test_verify_suite_never_computes_norm_bound(monkeypatch):
+    bounded = []
+    monkeypatch.setattr(LindbladianRep, "norm_bound", property(lambda rep: bounded.append(rep) or 1.0))
+    verify_suite(VerifyConfig(instances_per_model=1, condition_instances=1, probes=1, tail_draws=1))
+    assert bounded == []
 
 
 def test_verify_suite_flags_bad_schedule_but_still_runs():

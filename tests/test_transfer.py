@@ -5,6 +5,7 @@ sparse matrix is built from the symplectic masks alone, so the two routes
 share only the instance.
 """
 
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -20,7 +21,13 @@ from dissip.analysis import schedule
 from dissip.densemat import random_density, random_hermitian
 from dissip.errors import CapacityError, ValidationError
 from dissip.evolution import AUTO_STEP_TARGET, EvolutionConfig, evolve, maximally_mixed
-from dissip.lindblad import apply_generator, apply_generator_adjoint, build_lindbladian, transfer_matrix
+from dissip.lindblad import (
+    LindbladianRep,
+    apply_generator,
+    apply_generator_adjoint,
+    build_lindbladian,
+    transfer_matrix,
+)
 from dissip.operators import (
     PauliString,
     canonical_dense,
@@ -154,7 +161,28 @@ def test_sampled_evolution_never_builds_dense_stacks(transfer_builds):
     rep = build_lindbladian(draw("sparse_pauli", 3, 2, m=5, seed=0), -0.1)
     evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2))
     assert transfer_builds == [rep]
-    assert "k_stack_dag" not in vars(rep) and "kdagk_sum" not in vars(rep)
+    assert not {"k_stack", "k_stack_dag", "kdagk_sum"} & set(vars(rep))
+
+
+def test_rep_is_instance_and_coupling():
+    assert [f.name for f in dataclasses.fields(LindbladianRep)] == ["instance", "y"]
+    rep = build_lindbladian(draw("syk", 6, 4, seed=0), -0.1)
+    assert vars(rep) == {"instance": rep.instance, "y": -0.1}
+
+
+@pytest.mark.parametrize("model, n, k, m", [("sparse_pauli", 3, 2, 5), ("gaussian_pauli", 3, 2, None)])
+def test_evolve_checks_bytes_before_spectral_work(monkeypatch, model, n, k, m):
+    # the operator's byte checks come before the SVD step bound and the
+    # checkpoint eigvalsh, so an oversized run fails before O(N^3) work
+    rep = build_lindbladian(draw(model, n, k, m=m, seed=0), -0.1)
+    rho0 = maximally_mixed(n)
+    spectral = []
+    monkeypatch.setattr(dissip.lindblad, "spectral_norm", lambda *a, **kw: spectral.append("svd"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: spectral.append("eigvalsh"))
+    monkeypatch.setattr(dissip.densemat, "MEMORY_BUDGET_BYTES", 1_000)
+    with pytest.raises(CapacityError, match="bytes"):
+        evolve(rep, rho0, EvolutionConfig(t_final=0.2))
+    assert spectral == []
 
 
 def test_lazy_forms_of_different_reps_build_concurrently(monkeypatch):
@@ -166,7 +194,9 @@ def test_lazy_forms_of_different_reps_build_concurrently(monkeypatch):
     check = dissip.lindblad.check_dense_budget
 
     def hold_first(what, dim, count):
-        if threading.current_thread().name == "first":
+        # hold only the first thread's first check; its later ones (the jump
+        # stack the adjoint stack is made from) run after the second build
+        if threading.current_thread().name == "first" and not inside.is_set():
             inside.set()
             waited.append(second_built.wait(timeout=10))
         check(what, dim, count)
@@ -192,6 +222,9 @@ def test_transfer_path_rejects_non_hermitian_state():
 
 LAZY_FORMS = {
     "transfer": transfer_matrix,
+    "h_dense": lambda rep: rep.h_dense,
+    "k_stack": lambda rep: rep.k_stack,
+    "norm_bound": lambda rep: rep.norm_bound,
     "k_stack_dag": lambda rep: rep.k_stack_dag,
     "kdagk_sum": lambda rep: rep.kdagk_sum,
 }
