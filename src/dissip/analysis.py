@@ -9,8 +9,12 @@ coming from the per-pair identity normalized_trace(Lgdag(H_g)) =
 -8 b_ag h_g^2 y.  The remainder is O(t^2), so with y < 0 and small t the
 evolved energy is positive on average.  This module computes the closed
 form, enumerates or samples the sign average exactly, scans the residual
-for its quadratic scaling, and evaluates the spectral-norm tail bound and
-the (y, t) schedule with its validity guards.
+for its quadratic scaling, and evaluates the spectral-norm tail bound.
+
+It also holds the two stages of a run that follow sampling: :func:`schedule`
+resolves (y, t), checking every given value once for all entry points, and
+:func:`evolve_report` evolves the maximally mixed state and reports its energy.
+The validity guards of (y, t) are :func:`schedule_guards`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +84,11 @@ def spectral_tail_bound(model: str, n: int, delta: float) -> float:
     """Energy E with Pr(lambda_max >= E) <= delta from the matrix tail bounds.
 
     Sampled models: 2N exp(-E^2/8); Gaussian models: 2N exp(-E^2/2), with
-    N the Hilbert-space dimension (2^n spin, 2^(n/2) fermion).
+    N the Hilbert-space dimension (2^n spin, 2^(n/2) fermion), for a failure
+    probability 0 < delta < 1.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"tail probability delta must lie in (0, 1), got {delta!r}")
     qubits = n // 2 if is_fermionic(model) else n
     dim = 2.0**qubits
     denom = 8.0 if model in SAMPLED_MODELS else 2.0
@@ -100,20 +108,24 @@ def default_c_t(a_loc: int) -> float:
     return 1.0 / (2.0 * a_loc)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Coupling and time derived from y = -c_y/(sqrt(k) h_loc), t = c_t/k."""
+class Schedule(NamedTuple):
+    """Coupling y and evolution time t of one run."""
 
-    c_y: float
-    c_t: float
     y: float
     t: float
-    guard_time_ok: bool     # a_loc k t < 1
-    guard_coupling_ok: bool  # y^2 h_loc^2 a_loc k < 1/8
 
-    @property
-    def guards_ok(self) -> bool:
-        return self.guard_time_ok and self.guard_coupling_ok
+
+def check_schedule_values(y=None, t=None, c_y=None, c_t=None, prefix: str = "") -> None:
+    """Reject a given schedule value that is not a finite number, a negative t,
+    or a constant c_y, c_t <= 0; ``prefix`` leads each message."""
+    for name, value in (("y", y), ("t", t), ("c_y", c_y), ("c_t", c_t)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                  or not math.isfinite(value)):
+            raise ValidationError(f"{prefix}{name} must be a finite number, got {value!r}")
+    if t is not None and t < 0:
+        raise ValidationError(f"{prefix}evolution time must be nonnegative")
+    if any(c is not None and c <= 0 for c in (c_y, c_t)):
+        raise ValidationError(f"{prefix}schedule constants must be positive")
 
 
 def schedule_guards(instance: HamiltonianInstance, y: float, t: float) -> tuple[bool, bool]:
@@ -122,28 +134,19 @@ def schedule_guards(instance: HamiltonianInstance, y: float, t: float) -> tuple[
             y * y * instance.h_loc**2 * instance.a_loc * instance.k < 0.125)
 
 
-def schedule(instance: HamiltonianInstance, c_y: float | None = None, c_t: float | None = None) -> Schedule:
-    if c_y is None:
-        c_y = default_c_y(instance.a_loc)
-    if c_t is None:
-        c_t = default_c_t(instance.a_loc)
-    if c_y <= 0 or c_t <= 0:
-        raise ValidationError("schedule constants must be positive")
-    if instance.h_loc <= 0:
-        raise ValidationError("schedule needs a nonzero local energy")
-    y = -c_y / (math.sqrt(instance.k) * instance.h_loc)
-    t = c_t / instance.k
-    time_ok, coupling_ok = schedule_guards(instance, y, t)
-    return Schedule(c_y=c_y, c_t=c_t, y=y, t=t, guard_time_ok=time_ok, guard_coupling_ok=coupling_ok)
-
-
-def resolve_schedule(instance: HamiltonianInstance, y=None, t=None, c_y=None, c_t=None) -> tuple[float, float]:
-    """(y, t): each override where given, the rest from schedule(instance, c_y, c_t)."""
-    if y is None or t is None:
-        sched = schedule(instance, c_y=c_y, c_t=c_t)
-        y = sched.y if y is None else y
-        t = sched.t if t is None else t
-    return y, t
+def schedule(instance: HamiltonianInstance, *, y=None, t=None, c_y=None, c_t=None) -> Schedule:
+    """(y, t) of one run: each given value, checked, and the rest derived as
+    y = -c_y/(sqrt(k) h_loc), t = c_t/k, with the default constants where
+    c_y, c_t are not given."""
+    check_schedule_values(y, t, c_y, c_t)
+    if y is None:
+        if instance.h_loc <= 0:
+            raise ValidationError("schedule needs a nonzero local energy")
+        c_y = default_c_y(instance.a_loc) if c_y is None else c_y
+        y = -c_y / (math.sqrt(instance.k) * instance.h_loc)
+    if t is None:
+        t = (default_c_t(instance.a_loc) if c_t is None else c_t) / instance.k
+    return Schedule(y, t)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,15 @@ def energy_report(instance, rho_t, h_dense, y, t) -> EnergyReport:
         y=y,
         t=t,
     )
+
+
+def evolve_report(instance: HamiltonianInstance, y: float, cfg: EvolutionConfig,
+                  trajectory=None) -> EnergyReport:
+    """One run: the maximally mixed state evolved under the jumps of (instance, y)
+    for cfg, and its energy report; ``trajectory`` as in :func:`evolve`."""
+    rep = build_lindbladian(instance, y)
+    rho = evolve(rep, maximally_mixed(instance.qubits), cfg, trajectory=trajectory)
+    return energy_report(instance, rho, rep.h_dense, y, cfg.t_final)
 
 
 @dataclass(frozen=True)

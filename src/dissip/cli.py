@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import concentration_m, energy_report, glo_loc_ratio_stats, resolve_schedule, spectral_tail_bound
+from .analysis import concentration_m, evolve_report, glo_loc_ratio_stats, schedule, spectral_tail_bound
 from .ensembles import (
     MODELS,
     SAMPLED_MODELS,
@@ -26,14 +26,13 @@ from .ensembles import (
     sample,
 )
 from .errors import DissipError, RefinementError, ValidationError
-from .evolution import EvolutionConfig, evolve, maximally_mixed
+from .evolution import EvolutionConfig
 from .experiment import (
     VerifyConfig,
     config_from_json,
     run_experiment,
     verify_suite,
 )
-from .lindblad import build_lindbladian
 
 CSV_COLUMNS = [
     "cell_id", "draw", "seed", "n", "k", "m", "model", "y", "t",
@@ -101,15 +100,10 @@ def cmd_sample(args) -> int:
 
 def cmd_evolve(args) -> int:
     instance = sample(_spec_from(args))
-    y, t = resolve_schedule(instance, args.y, args.t, args.c_y, args.c_t)
-    rep = build_lindbladian(instance, y)
+    y, t = schedule(instance, y=args.y, t=args.t, c_y=args.c_y, c_t=args.c_t)
     trajectory = [] if args.trajectory else None
-    rho = evolve(
-        rep,
-        maximally_mixed(instance.qubits),
-        EvolutionConfig(t_final=t, steps=args.steps, method=args.method),
-        trajectory=trajectory,
-    )
+    report = evolve_report(instance, y, EvolutionConfig(t_final=t, steps=args.steps, method=args.method),
+                           trajectory)
     if args.trajectory:
         with open(args.trajectory, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -117,7 +111,6 @@ def cmd_evolve(args) -> int:
             for row in trajectory:
                 writer.writerow([row["step"], row["time"], row["energy"],
                                  row["trace_error"], row["min_eig"]])
-    report = energy_report(instance, rho, rep.h_dense, y, t)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -167,6 +160,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     instance = sample(_spec_from(args))
+    tail_bound = spectral_tail_bound(instance.model, instance.n, args.delta)
     h = instance_to_dense(instance)
     import numpy as np
 
@@ -179,7 +173,7 @@ def cmd_spectrum(args) -> int:
         "seed": instance.seed,
         "lambda_max": float(evals[-1]),
         "lambda_min": float(evals[0]),
-        "tail_bound": spectral_tail_bound(instance.model, instance.n, args.delta),
+        "tail_bound": tail_bound,
         "delta": args.delta,
     }
     if args.full:

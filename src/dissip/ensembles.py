@@ -17,10 +17,11 @@ Normalizations make E[H^2] = I.  The sampled models have squared global
 energy exactly 1 on every draw; the instance caches that value analytically
 (recomputing from the rounded strengths agrees to float precision).
 
-All sampling is driven by ``numpy.random.default_rng(seed)`` (PCG64); draws
-happen in a fixed batch order (supports, then letters, then signs/strengths)
-so that the statistics-only path in :func:`sample_strength_stats` consumes the
-stream identically to the full sampler.
+:func:`sample` draws every model, driven by ``numpy.random.default_rng(seed)``
+(PCG64).  The sampled models draw in a fixed batch order (supports, then
+letters, then signs) so that the statistics-only path in
+:func:`sample_strength_stats` consumes the stream identically to the full
+sampler.
 """
 
 from __future__ import annotations
@@ -201,57 +202,8 @@ def local_global_energies(instance: HamiltonianInstance) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# sampling
 # ---------------------------------------------------------------------------
-
-def _split_gaussian(g):
-    h = abs(float(g))
-    s = 1 if g >= 0 else -1
-    return h, s
-
-
-def sample_gaussian_pauli(spec: EnsembleSpec) -> HamiltonianInstance:
-    """All-weight-k Pauli ensemble with N(0, 3^-k C(n,k)^-1) coefficients."""
-    if spec.model != "gaussian_pauli":
-        raise ValidationError(f"spec is for {spec.model}")
-    count = math.comb(spec.n, spec.k) * 3**spec.k
-    if count > GAUSSIAN_TERM_BUDGET:
-        raise CapacityError(
-            f"{count} terms exceed the Gaussian term budget of {GAUSSIAN_TERM_BUDGET}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    sigma = math.sqrt(1.0 / count)
-    coeffs = rng.normal(0.0, sigma, size=count)
-    terms = []
-    idx = 0
-    for sites in itertools.combinations(range(spec.n), spec.k):
-        for letters in itertools.product(_LETTERS, repeat=spec.k):
-            op = PauliString.from_site_letters(spec.n, list(zip(sites, letters)))
-            h, s = _split_gaussian(coeffs[idx])
-            idx += 1
-            terms.append(HamiltonianTerm(op, h, s))
-    return make_instance(spec.model, spec.n, spec.k, terms, spec.seed)
-
-
-def sample_syk(spec: EnsembleSpec) -> HamiltonianInstance:
-    """All size-k Majorana subsets with N(0, C(n,k)^-1) coefficients."""
-    if spec.model != "syk":
-        raise ValidationError(f"spec is for {spec.model}")
-    count = math.comb(spec.n, spec.k)
-    if count > GAUSSIAN_TERM_BUDGET:
-        raise CapacityError(
-            f"{count} terms exceed the Gaussian term budget of {GAUSSIAN_TERM_BUDGET}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    sigma = math.sqrt(1.0 / count)
-    coeffs = rng.normal(0.0, sigma, size=count)
-    terms = []
-    for idx, modes in enumerate(itertools.combinations(range(spec.n), spec.k)):
-        op = MajoranaMonomial.from_modes(spec.n, modes)
-        h, s = _split_gaussian(coeffs[idx])
-        terms.append(HamiltonianTerm(op, h, s))
-    return make_instance(spec.model, spec.n, spec.k, terms, spec.seed)
-
 
 def _draw_supports(rng, n, k, m) -> np.ndarray:
     """m uniform k-subsets of [0, n), one permutation draw per subset."""
@@ -261,40 +213,44 @@ def _draw_supports(rng, n, k, m) -> np.ndarray:
     return out
 
 
-def sample_sparse(spec: EnsembleSpec) -> HamiltonianInstance:
-    """m uniform signed k-body terms, with replacement, strengths 1/sqrt(m)."""
-    if spec.model not in SAMPLED_MODELS:
-        raise ValidationError(f"spec is for {spec.model}")
-    rng = np.random.default_rng(spec.seed)
-    m = spec.m
-    supports = _draw_supports(rng, spec.n, spec.k, m)
-    if spec.model == "sparse_pauli":
-        letters = rng.integers(0, 3, size=(m, spec.k))
-    signs = 2 * rng.integers(0, 2, size=m) - 1
-    h = 1.0 / math.sqrt(m)
-    terms = []
-    for j in range(m):
-        if spec.model == "sparse_pauli":
-            op = PauliString.from_site_letters(
-                spec.n, [(int(site), _LETTERS[letters[j, i]]) for i, site in enumerate(supports[j])]
-            )
-        else:
-            op = MajoranaMonomial.from_modes(spec.n, [int(i) for i in supports[j]])
-        terms.append(HamiltonianTerm(op, h, int(signs[j])))
-    # h_glo = 1 holds analytically on every sampled draw; cache it exactly
-    return make_instance(spec.model, spec.n, spec.k, terms, spec.seed, h_glo=1.0)
-
-
-_SAMPLERS = {
-    "gaussian_pauli": sample_gaussian_pauli,
-    "syk": sample_syk,
-    "sparse_pauli": sample_sparse,
-    "sparse_fermion": sample_sparse,
-}
-
-
 def sample(spec: EnsembleSpec) -> HamiltonianInstance:
-    return _SAMPLERS[spec.model](spec)
+    """One draw of ``spec.model`` from ``numpy.random.default_rng(spec.seed)``.
+
+    Gaussian models: one N(0, 1/count) coefficient per enumerated term, split
+    into h = |g| and s = sign(g).  Sampled models: m supports, then (spin
+    only) m x k letters, then m signs, each drawn as one batch, with h =
+    1/sqrt(m).
+    """
+    rng = np.random.default_rng(spec.seed)
+    n, k = spec.n, spec.k
+    if spec.model in GAUSSIAN_MODELS:
+        count = math.comb(n, k) * (3**k if spec.model == "gaussian_pauli" else 1)
+        if count > GAUSSIAN_TERM_BUDGET:
+            raise CapacityError(
+                f"{count} terms exceed the Gaussian term budget of {GAUSSIAN_TERM_BUDGET}"
+            )
+        coeffs = rng.normal(0.0, math.sqrt(1.0 / count), size=count)
+        if spec.model == "syk":
+            ops = [MajoranaMonomial.from_modes(n, modes)
+                   for modes in itertools.combinations(range(n), k)]
+        else:
+            ops = [PauliString.from_site_letters(n, list(zip(sites, letters)))
+                   for sites in itertools.combinations(range(n), k)
+                   for letters in itertools.product(_LETTERS, repeat=k)]
+        terms = [HamiltonianTerm(op, abs(float(g)), 1 if g >= 0 else -1) for op, g in zip(ops, coeffs)]
+        return make_instance(spec.model, n, k, terms, spec.seed)
+    supports = _draw_supports(rng, n, k, spec.m)
+    if spec.model == "sparse_pauli":
+        letters = rng.integers(0, 3, size=(spec.m, k))
+        ops = [PauliString.from_site_letters(n, [(int(i), _LETTERS[c]) for i, c in zip(sites, word)])
+               for sites, word in zip(supports, letters)]
+    else:
+        ops = [MajoranaMonomial.from_modes(n, [int(i) for i in sites]) for sites in supports]
+    signs = 2 * rng.integers(0, 2, size=spec.m) - 1
+    h = 1.0 / math.sqrt(spec.m)
+    terms = [HamiltonianTerm(op, h, int(s)) for op, s in zip(ops, signs)]
+    # h_glo = 1 holds analytically on every sampled draw; cache it exactly
+    return make_instance(spec.model, n, k, terms, spec.seed, h_glo=1.0)
 
 
 def with_signs(instance: HamiltonianInstance, signs) -> HamiltonianInstance:
@@ -314,7 +270,7 @@ def sample_strength_stats(spec: EnsembleSpec) -> tuple[float, float]:
 
     Both quantities depend only on term supports and squared strengths.  For
     the sampled models this consumes the RNG stream exactly like
-    :func:`sample_sparse` up through the support draws, so it reproduces the
+    :func:`sample` up through the support draws, so it reproduces the
     full sampler's values seed for seed.  For the Gaussian models the 3^k
     letter coefficients sharing a support are aggregated into a single
     chi-squared draw of the per-support squared strength, which has exactly

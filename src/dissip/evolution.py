@@ -56,6 +56,8 @@ class EvolutionConfig:
     method: str = "rk4"
 
     def __post_init__(self):
+        if not math.isfinite(self.t_final):
+            raise ValidationError(f"evolution time must be finite, got {self.t_final!r}")
         if self.t_final < 0:
             raise ValidationError("evolution time must be nonnegative")
         if self.steps < 0:

@@ -24,10 +24,11 @@ import numpy as np
 from .analysis import (
     BoundCheckReport,
     Check,
-    energy_report,
+    check_schedule_values,
+    evolve_report,
     max_eigenvalue,
     rademacher_average_energy,
-    resolve_schedule,
+    schedule,
     schedule_guards,
     spectral_tail_bound,
     t1_identity_error,
@@ -38,8 +39,6 @@ from .evolution import (
     EvolutionConfig,
     choi_deviations,
     contraction_excess,
-    evolve,
-    maximally_mixed,
     propagator,
 )
 from .lindblad import (
@@ -70,14 +69,7 @@ class CellSpec:
     c_t: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("y", "t", "c_y", "c_t"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValidationError(f"cell {self.cell_id!r}: {name} must be a finite number, got {value!r}")
-        if self.t is not None and self.t < 0:
-            raise ValidationError(f"cell {self.cell_id!r}: evolution time must be nonnegative")
-        if any(c is not None and c <= 0 for c in (self.c_y, self.c_t)):
-            raise ValidationError(f"cell {self.cell_id!r}: schedule constants must be positive")
+        check_schedule_values(self.y, self.t, self.c_y, self.c_t, prefix=f"cell {self.cell_id!r}: ")
 
     def ensemble(self, seed: int) -> EnsembleSpec:
         return EnsembleSpec(model=self.model, n=self.n, k=self.k, m=self.m, seed=seed)
@@ -137,11 +129,13 @@ _TOP_KEYS = {"master_seed", "draws", "evolution", "cells", "output"}
 
 
 def _integer(value, what: str) -> int:
-    """int(value), with a ValidationError naming the field when it is not a number."""
-    try:
+    """value as an int when it is an integral JSON number (not a bool), else a
+    ValidationError naming the field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _object(value, what: str) -> dict:
@@ -234,14 +228,8 @@ def run_draw(config: ExperimentConfig, cell: CellSpec, draw: int) -> RunResult:
     start = time.perf_counter()
     try:
         instance = sample(cell.ensemble(seed))
-        y, t = resolve_schedule(instance, cell.y, cell.t, cell.c_y, cell.c_t)
-        rep = build_lindbladian(instance, y)
-        rho_t = evolve(
-            rep,
-            maximally_mixed(instance.qubits),
-            EvolutionConfig(t_final=t, steps=config.steps, method=config.method),
-        )
-        report = energy_report(instance, rho_t, rep.h_dense, y, t)
+        y, t = schedule(instance, y=cell.y, t=cell.t, c_y=cell.c_y, c_t=cell.c_t)
+        report = evolve_report(instance, y, EvolutionConfig(t_final=t, steps=config.steps, method=config.method))
         values = [report.achieved, report.t1_prediction, report.lambda_max, report.ratio]
         if not all(math.isfinite(v) for v in values):
             return _failed_result(cell, draw, seed, "nonfinite")
@@ -373,6 +361,7 @@ class VerifyConfig:
     tail_draws: int = 30
 
     def __post_init__(self):
+        check_schedule_values(self.y, self.t, prefix="verify ")
         for name in ("instances_per_model", "condition_instances", "probes", "tail_draws"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"verify {name} must be >= 1, got {getattr(self, name)}")
@@ -396,7 +385,7 @@ def _verify_instances(cfg, tag, count):
 def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
     """Run every named exact identity and bound check; all must pass."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "verify", "probes"))
-    runs = [(inst, *resolve_schedule(inst, cfg.y, cfg.t))
+    runs = [(inst, *schedule(inst, y=cfg.y, t=cfg.t))
             for inst in _verify_instances(cfg, "verify", cfg.instances_per_model)]
     reps = [build_lindbladian(inst, y) for inst, y, _ in runs]
     # rng feeds these piece norms first, then the contraction probes below
@@ -411,7 +400,7 @@ def verify_suite(cfg: VerifyConfig = VerifyConfig()) -> BoundCheckReport:
     channels = []
     for model, n, k, m in (("sparse_pauli", 2, 2, 3), ("sparse_fermion", 4, 2, 3)):
         inst = sample(EnsembleSpec(model, n, k, m, seed=derive_seed(cfg.seed, "channel", model)))
-        y, t = resolve_schedule(inst, cfg.y, cfg.t)
+        y, t = schedule(inst, y=cfg.y, t=cfg.t)
         channels.append((build_lindbladian(inst, y), t))
     chois = [choi_deviations(propagator(rep, t_choi)) for rep, _ in channels for t_choi in (0.1, 0.5)]
 

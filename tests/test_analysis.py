@@ -1,5 +1,6 @@
 """First-order identities, sign averaging, schedules, spectra, ratio statistics."""
 
+import dataclasses
 import itertools
 import math
 
@@ -22,8 +23,8 @@ from dissip.analysis import (
     max_eigenvalue,
     rademacher_average_energy,
     residual_reference,
-    resolve_schedule,
     schedule,
+    schedule_guards,
     second_order_residual_scan,
     spectral_tail_bound,
     t1_identity_error,
@@ -180,13 +181,13 @@ def test_sign_average_never_computes_norm_bound(monkeypatch):
     assert bounded == []
 
 
-def test_resolve_schedule_overrides_each_value():
+def test_schedule_overrides_each_value():
     inst = draw("sparse_pauli", 3, 2, m=5, seed=0)
     sched = schedule(inst, c_y=0.2, c_t=0.4)
-    assert resolve_schedule(inst, c_y=0.2, c_t=0.4) == (sched.y, sched.t)
-    assert resolve_schedule(inst, y=-0.3, c_t=0.4) == (-0.3, sched.t)
-    assert resolve_schedule(inst, t=0.05, c_y=0.2) == (sched.y, 0.05)
-    assert resolve_schedule(single_z_instance(), y=-0.3, t=0.05, c_y=-1.0) == (-0.3, 0.05)
+    assert sched == (-0.2 / (math.sqrt(2) * inst.h_loc), 0.4 / 2)
+    assert schedule(inst, y=-0.3, c_t=0.4) == (-0.3, sched.t)
+    assert schedule(inst, t=0.05, c_y=0.2) == (sched.y, 0.05)
+    assert schedule(single_z_instance(), y=-0.3, t=0.05) == (-0.3, 0.05)
 
 
 def test_enumeration_budget():
@@ -251,7 +252,7 @@ def test_schedule_guards_hold_with_defaults():
     for model, n, k, m in ALL_MODELS:
         inst = draw(model, n, k, m=m, seed=3)
         sched = schedule(inst)
-        assert sched.guards_ok
+        assert schedule_guards(inst, *sched) == (True, True)
         assert sched.y < 0 and sched.t > 0
         # with defaults the guards hold identically:
         # a_loc k t = a_loc c_t = 1/2; y^2 h_loc^2 a_loc k = c_y^2 a_loc = 1/9
@@ -264,14 +265,30 @@ def test_schedule_guards_hold_with_defaults():
 def test_schedule_guard_flags_can_trip():
     inst = draw("sparse_pauli", 4, 2, m=5, seed=0)
     sched = schedule(inst, c_t=5.0)  # a_loc k t = a_loc c_t = 15 > 1
-    assert not sched.guard_time_ok
-    assert not sched.guards_ok
+    assert schedule_guards(inst, *sched) == (False, True)
 
 
 def test_schedule_validation():
     inst = draw("sparse_pauli", 4, 2, m=5, seed=0)
-    with pytest.raises(ValidationError):
-        schedule(inst, c_y=-1.0)
+    for overrides, message in [
+        (dict(c_y=-1.0), "schedule constants must be positive"),
+        (dict(c_t=0.0), "schedule constants must be positive"),
+        (dict(y=-0.3, t=0.05, c_y=-1.0), "schedule constants must be positive"),
+        (dict(t=-0.5), "evolution time must be nonnegative"),
+        (dict(y=math.nan), "y must be a finite number"),
+        (dict(t=math.inf), "t must be a finite number"),
+        (dict(c_y=-math.inf), "c_y must be a finite number"),
+        (dict(c_t=True), "c_t must be a finite number"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            schedule(inst, **overrides)
+
+
+def test_schedule_needs_local_energy_only_to_derive_y():
+    zero = dataclasses.replace(single_z_instance(), h_loc=0.0)
+    assert schedule(zero, y=-0.3) == (-0.3, default_c_t(3))
+    with pytest.raises(ValidationError, match="nonzero local energy"):
+        schedule(zero, t=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +305,12 @@ def test_tail_bound_fermion_uses_half_the_modes():
     assert spectral_tail_bound("sparse_fermion", 8, 0.01) == pytest.approx(
         math.sqrt(8 * math.log(2 * 16 / 0.01)), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -1.0, math.nan, math.inf])
+def test_tail_bound_rejects_delta_outside_unit_interval(delta):
+    with pytest.raises(ValidationError, match="delta"):
+        spectral_tail_bound("sparse_pauli", 4, delta)
 
 
 def test_tail_bound_gaussian_sharper():

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, and byte-stable serialization."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -230,8 +231,12 @@ def test_sweep_config_error_exits_2_before_any_draw(capsys, tmp_path, section, k
         (lambda doc: doc.update(master_seed=None), "master_seed must be an integer"),
         (lambda doc: doc.update(evolution={"steps": "many"}), "steps must be an integer"),
         (lambda doc: doc.update(cells=[3]), "must be a JSON object"),
+        (lambda doc: doc["cells"][0].update(n=2.7), "n must be an integer"),
+        (lambda doc: doc.update(draws=1.9), "draws must be an integer"),
+        (lambda doc: doc["cells"][0].update(m=True), "m must be an integer"),
     ],
-    ids=["missing-model", "n-text", "m-list", "draws-text", "seed-null", "steps-text", "cell-number"],
+    ids=["missing-model", "n-text", "m-list", "draws-text", "seed-null", "steps-text", "cell-number",
+         "n-fraction", "draws-fraction", "m-bool"],
 )
 def test_sweep_malformed_config_exits_2(capsys, tmp_path, edit, message):
     path, doc = sweep_config(tmp_path)
@@ -331,6 +336,49 @@ def test_verify_bad_coupling_exits_1(capsys):
 
 
 # ---------------------------------------------------------------------------
+# every float flag
+# ---------------------------------------------------------------------------
+
+# a small valid run of each subcommand that has float flags, so that the
+# flag under test is the only fault
+BASE_ARGV = {
+    "evolve": ("--model", "sparse_pauli", "--n", "2", "--k", "1", "--m", "2"),
+    "spectrum": ("--model", "sparse_pauli", "--n", "2", "--k", "1", "--m", "2"),
+    "verify": ("--instances", "1", "--condition-instances", "1", "--probes", "1", "--tail-draws", "1"),
+}
+
+
+def float_options():
+    """(subcommand, flag, dest, has --out) for every type=float option of build_parser()."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest, "--out" in sub._option_string_actions)
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+def test_float_options_are_found():
+    assert {(c, f) for c, f, _, _ in float_options()} >= {("evolve", "--y"), ("verify", "--t"),
+                                                            ("spectrum", "--delta")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, dest, has_out",
+                         [pytest.param(*option, id=option[0] + option[1]) for option in float_options()])
+def test_nonfinite_float_flag_exits_2(capsys, tmp_path, value, command, flag, dest, has_out):
+    out = tmp_path / "out.json"
+    argv = [command, *BASE_ARGV[command], flag, value]
+    if has_out:
+        argv += ["--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and dest in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # spectrum and ratio-stats
 # ---------------------------------------------------------------------------
 
@@ -344,6 +392,13 @@ def test_spectrum_reports_bound(capsys):
     assert doc["lambda_max"] <= doc["tail_bound"]
     assert len(doc["eigenvalues"]) == 16
     assert doc["lambda_min"] == pytest.approx(-doc["lambda_max"], abs=3.0)
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "1"])
+def test_spectrum_delta_outside_unit_interval_exits_2(capsys, delta):
+    code, _, err = run_cli(capsys, "spectrum", *BASE_ARGV["spectrum"], "--delta", delta)
+    assert code == 2
+    assert "delta must lie in (0, 1)" in err
 
 
 def test_ratio_stats_csv(capsys):

@@ -14,10 +14,7 @@ from dissip.ensembles import (
     local_global_energies,
     make_instance,
     sample,
-    sample_gaussian_pauli,
-    sample_sparse,
     sample_strength_stats,
-    sample_syk,
     with_signs,
 )
 from dissip.errors import CapacityError, ValidationError
@@ -33,15 +30,15 @@ def spec(model, n, k, m=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_gaussian_pauli_term_counts():
-    assert len(sample_gaussian_pauli(spec("gaussian_pauli", 2, 1)).terms) == 6
-    assert len(sample_gaussian_pauli(spec("gaussian_pauli", 3, 2)).terms) == 27
+    assert len(sample(spec("gaussian_pauli", 2, 1)).terms) == 6
+    assert len(sample(spec("gaussian_pauli", 3, 2)).terms) == 27
 
 
 def test_gaussian_pauli_variance_normalization():
     # each coefficient has variance 1/(3^k C(n,k)); across draws the summed
     # squared strength should average to 1
     totals = [
-        sum(t.h**2 for t in sample_gaussian_pauli(spec("gaussian_pauli", 2, 1, seed=s)).terms)
+        sum(t.h**2 for t in sample(spec("gaussian_pauli", 2, 1, seed=s)).terms)
         for s in range(400)
     ]
     mean = np.mean(totals)
@@ -50,19 +47,19 @@ def test_gaussian_pauli_variance_normalization():
 
 
 def test_syk_term_counts():
-    assert len(sample_syk(spec("syk", 6, 4)).terms) == 15
-    inst = sample_syk(spec("syk", 4, 4))
+    assert len(sample(spec("syk", 6, 4)).terms) == 15
+    inst = sample(spec("syk", 4, 4))
     assert len(inst.terms) == 1
 
 
 def test_syk_draw_is_hermitian_dense():
-    inst = sample_syk(spec("syk", 6, 4, seed=5))
+    inst = sample(spec("syk", 6, 4, seed=5))
     h = instance_to_dense(inst)
     assert np.abs(h - h.conj().T).max() < 1e-12
 
 
 def test_sparse_strengths_and_exact_glo():
-    inst = sample_sparse(spec("sparse_pauli", 4, 2, m=5, seed=1))
+    inst = sample(spec("sparse_pauli", 4, 2, m=5, seed=1))
     assert len(inst.terms) == 5
     assert all(t.h == 1 / math.sqrt(5) for t in inst.terms)
     assert inst.h_glo == 1.0  # exact on every sampled draw
@@ -72,7 +69,7 @@ def test_sparse_strengths_and_exact_glo():
 
 
 def test_sparse_single_term_is_unit_norm():
-    inst = sample_sparse(spec("sparse_pauli", 3, 2, m=1, seed=3))
+    inst = sample(spec("sparse_pauli", 3, 2, m=1, seed=3))
     h = instance_to_dense(inst)
     evals = np.linalg.eigvalsh(h)
     assert abs(max(abs(evals)) - 1.0) < 1e-12
@@ -216,7 +213,7 @@ def test_stats_path_matches_sparse_sampler_exactly():
     for s in range(20):
         sp = spec("sparse_pauli", 7, 3, m=11, seed=s)
         loc_stats, glo_stats = sample_strength_stats(sp)
-        inst = sample_sparse(sp)
+        inst = sample(sp)
         loc_full, _ = local_global_energies(inst)
         assert glo_stats == 1.0
         assert abs(loc_stats - loc_full) < 1e-12
@@ -227,7 +224,7 @@ def test_stats_path_gaussian_agrees_statistically():
     sp_count = 300
     stats_vals = [sample_strength_stats(spec("gaussian_pauli", 4, 2, seed=s))[1] ** 2 for s in range(sp_count)]
     full_vals = [
-        sum(t.h**2 for t in sample_gaussian_pauli(spec("gaussian_pauli", 4, 2, seed=10_000 + s)).terms)
+        sum(t.h**2 for t in sample(spec("gaussian_pauli", 4, 2, seed=10_000 + s)).terms)
         for s in range(sp_count)
     ]
     se = math.sqrt(np.var(stats_vals, ddof=1) / sp_count + np.var(full_vals, ddof=1) / sp_count)
@@ -257,7 +254,9 @@ def test_spec_validation():
 
 def test_gaussian_budget_guard():
     with pytest.raises(CapacityError):
-        sample_gaussian_pauli(spec("gaussian_pauli", 30, 8))
+        sample(spec("gaussian_pauli", 30, 8))
+    with pytest.raises(CapacityError):
+        sample(spec("syk", 40, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,12 @@ def test_step_guard_raises_with_suggestion():
     assert err.value.suggested_steps == required_steps(rep, 2.0)
 
 
+@pytest.mark.parametrize("t_final", [float("nan"), float("inf"), -0.1])
+def test_config_rejects_nonfinite_or_negative_time(t_final):
+    with pytest.raises(ValidationError, match="evolution time must be"):
+        EvolutionConfig(t_final=t_final)
+
+
 def test_positivity_of_evolved_states():
     for seed in range(3):
         rep = rep_for("sparse_pauli", 3, 2, 6, seed, -0.2)

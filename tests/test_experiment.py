@@ -80,7 +80,7 @@ def test_results_positive_energy_with_default_schedule():
 
 
 def test_nonfinite_energy_aborts_draw_with_reason(monkeypatch):
-    import dissip.experiment as exp_mod
+    import dissip.analysis
     from dissip.analysis import EnergyReport
 
     def poisoned(instance, rho_t, h_dense, y, t):
@@ -89,7 +89,7 @@ def test_nonfinite_energy_aborts_draw_with_reason(monkeypatch):
             lambda_max=1.0, ratio=math.nan, y=y, t=t,
         )
 
-    monkeypatch.setattr(exp_mod, "energy_report", poisoned)
+    monkeypatch.setattr(dissip.analysis, "energy_report", poisoned)
     config = tiny_config(draws=1)
     result = run_draw(config, CELL, 0)
     assert result.status == "nonfinite"
