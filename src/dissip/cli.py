@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--c-y", dest="c_y", type=float, default=None)
     p.add_argument("--c-t", dest="c_t", type=float, default=None)
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=int, default=0,
+                   help="0 (default): exact action of e^(Lt); N > 0: N RK4 steps under the guard")
     p.add_argument("--method", choices=["rk4", "expm"], default="rk4")
     p.add_argument("--trajectory", default=None, help="CSV path for checkpoint rows")
     p.add_argument("--out", default=None)
@@ -294,7 +295,8 @@ def parse_and_dispatch(argv) -> int:
               file=sys.stderr)
         return 2
     except RefinementError as exc:
-        print(f"error: {exc} (suggested steps: {exc.suggested_steps})", file=sys.stderr)
+        hint = "" if exc.suggested_steps is None else f" (suggested steps: {exc.suggested_steps})"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (DissipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

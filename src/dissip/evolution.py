@@ -1,31 +1,37 @@
 """Time evolution of states and observables under the dissipative generator.
 
-The workhorse is fixed-step classical RK4 in the Schroedinger picture.  For
-the sampled models it runs on the real Pauli coefficient vector of the state
-(length N^2), one sparse product with the transfer matrix per stage; for the
-Gaussian models it runs on the N x N matrix through the dense jump stacks,
-(2|A| + 2) matrix products per stage.
+The state is evolved as a vector: for the sampled models the real Pauli
+coefficient vector (length N^2), on which the generator is the sparse
+transfer matrix; for the Gaussian models the flattened N x N matrix, on which
+it applies the dense jump stacks, (2|A| + 2) matrix products per application.
+
+By default (``steps == 0``) rho_t is the action of the exponential on that
+vector, computed with ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and
+Higham 2011), which picks its own Taylor degree and number of scaling steps
+from 1-norm estimates; it needs no norm bound and no step count.  With an
+explicit ``steps > 0`` it is fixed-step classical RK4 instead, under the
+validity guard (generator norm bound) * dt <= 0.1; a run that violates the
+guard raises a refinement error carrying the suggested step count.
+
+Both paths check the state the same way: the initial state's spectrum, the
+trace of every computed state, the spectrum at every checkpoint (where a
+vector is turned back into a matrix; a drift past -1e-6 aborts the run rather
+than being silently projected away) and the result as a density matrix.
 
 At small dimension the exact channel is the propagator P = e^(L t) of the
 N^2 x N^2 vectorized generator (``scipy.linalg.expm``, scaling and squaring),
-gated to N <= 64.  It is the only exponential here: ``evolve`` with
+gated to N <= 64.  It is the only dense exponential here: ``evolve`` with
 ``method="expm"`` applies P, the Heisenberg picture applies P^H (so
 ``heisenberg_evolve`` is ``expm``-only), and the Choi matrix and the
 contraction check read a P passed in, so one exponential serves both.
-
-Step-size policy: the validity guard requires (generator norm bound) * dt
-<= 0.1; runs that violate it raise a refinement error carrying the suggested
-step count.  Auto-selected steps aim a factor two below the guard, which at
-desk scale tracks the exponential to well under 1e-9 in practice.  Trace is
-monitored every step; the spectrum is monitored at checkpoints (where a
-coefficient vector is turned back into a matrix) and a drift past -1e-6
-aborts the run rather than being silently projected away.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,15 +39,16 @@ from scipy.linalg import expm
 from .densemat import hermitian_deviation, random_hermitian, spectral_norm, unvec, vec
 from .ensembles import SAMPLED_MODELS
 from .errors import CapacityError, DimensionMismatchError, RefinementError, ValidationError
-from .lindblad import LindbladianRep, apply_generator, transfer_matrix
+from .lindblad import LindbladianRep, apply_generator, apply_generator_adjoint, transfer_matrix
 from .operators import from_pauli_coefficients, pauli_coefficients
 
 STEP_GUARD = 0.1          # max allowed (norm bound) * dt
-AUTO_STEP_TARGET = 0.05   # auto-selected dt aims at this instead
 EXPM_DIM_LIMIT = 64
-CHECKPOINTS = 8           # RK4 checks the spectrum every steps // CHECKPOINTS steps and at the end
-DRIFT_TRACE_TOL = 1e-9    # per-step trace drift that aborts RK4
-DRIFT_EIG_FLOOR = -1e-6   # checkpoint min eigenvalue that aborts RK4
+# RK4 checks the spectrum every steps // CHECKPOINTS steps and at the end; the
+# default path at t, or at CHECKPOINTS equal steps to t when it records rows
+CHECKPOINTS = 8
+DRIFT_TRACE_TOL = 1e-9    # trace drift of a computed state that aborts the run
+DRIFT_EIG_FLOOR = -1e-6   # checkpoint min eigenvalue that aborts the run
 HERM_TOL = 1e-10          # validate_density_matrix thresholds
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
@@ -49,7 +56,12 @@ EIG_FLOOR = -1e-8
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Integration parameters.  steps == 0 lets the step guard pick."""
+    """Integration parameters.
+
+    ``steps == 0`` (the default): the exact action of e^(L t); ``steps > 0``:
+    that many RK4 steps under the step guard.  ``method="expm"`` applies the
+    dense propagator instead (N <= 64) and ignores ``steps``.
+    """
 
     t_final: float
     steps: int = 0
@@ -98,27 +110,97 @@ def required_steps(rep: LindbladianRep, t: float) -> int:
     return max(1, math.ceil(rep.norm_bound * t / STEP_GUARD))
 
 
-def _resolve_steps(rep, cfg) -> int:
-    if cfg.steps:
-        if rep.norm_bound * cfg.t_final / cfg.steps > STEP_GUARD * (1 + 1e-12):
-            raise RefinementError(
-                f"step guard violated: {cfg.steps} steps give "
-                f"norm*dt = {rep.norm_bound * cfg.t_final / cfg.steps:.3f} > {STEP_GUARD}",
-                suggested_steps=required_steps(rep, cfg.t_final),
-            )
-        return cfg.steps
-    return max(8, math.ceil(rep.norm_bound * cfg.t_final / AUTO_STEP_TARGET))
+def _check_step_guard(rep, cfg):
+    if rep.norm_bound * cfg.t_final / cfg.steps > STEP_GUARD * (1 + 1e-12):
+        raise RefinementError(
+            f"step guard violated: {cfg.steps} steps give "
+            f"norm*dt = {rep.norm_bound * cfg.t_final / cfg.steps:.3f} > {STEP_GUARD}",
+            suggested_steps=required_steps(rep, cfg.t_final),
+        )
 
 
-def _rk4(apply_fn, state, t, steps):
+class _VectorForm(NamedTuple):
+    """The generator and the state of one run as a vector (see :func:`_vector_form`)."""
+
+    matvec: Callable        # L on a state vector
+    rmatvec: Callable       # Ldag on the same vectors
+    generator_trace: float  # Tr L as a matrix on the vectors
+    state0: np.ndarray
+    trace: Callable         # Tr rho of a state vector
+    dense: Callable         # rho of a state vector
+
+
+def _vector_form(rep: LindbladianRep, rho0: np.ndarray) -> _VectorForm:
+    """The sampled models' real Pauli coefficients under the transfer matrix,
+    or the Gaussian models' flattened matrix under the dense jump stacks.
+
+    Both vector maps are isometries up to a constant, so Ldag is the adjoint
+    of L on the vectors too.
+    """
+    if rep.instance.model in SAMPLED_MODELS:
+        transfer = transfer_matrix(rep)
+        # the coefficient vector is real, so an anti-Hermitian part would be lost
+        deviation = hermitian_deviation(rho0)
+        if deviation > HERM_TOL:
+            raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
+        # T.T is a CSC view of the same arrays, not a copy
+        return _VectorForm(transfer.dot, transfer.T.dot, float(transfer.diagonal().sum()),
+                           pauli_coefficients(rho0), lambda r: r[0], from_pauli_coefficients)
+    dim = rep.dim
+    # every jump is traceless, so Tr L = -N Tr(sum_a K^a_dag K^a); building the
+    # sum builds the dense stacks apply_generator multiplies
+    generator_trace = -dim * float(np.trace(rep.kdagk_sum).real)
+    return _VectorForm(
+        lambda v: apply_generator(rep, v.reshape(dim, dim)).ravel(),
+        lambda v: apply_generator_adjoint(rep, v.reshape(dim, dim)).ravel(),
+        generator_trace, rho0.astype(complex, copy=False).ravel(),
+        lambda v: np.trace(v.reshape(dim, dim)), lambda v: v.reshape(dim, dim),
+    )
+
+
+def _rk4_states(form: _VectorForm, t: float, steps: int):
+    """(step, time, state, checkpoint?) after every classical RK4 step."""
+    apply_fn, state = form.matvec, form.state0
     dt = t / steps
-    for _ in range(steps):
+    every = max(1, steps // CHECKPOINTS)
+    for step in range(1, steps + 1):
         k1 = apply_fn(state)
         k2 = apply_fn(state + 0.5 * dt * k1)
         k3 = apply_fn(state + 0.5 * dt * k2)
         k4 = apply_fn(state + dt * k3)
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield state
+        yield step, step * dt, state, step % every == 0 or step == steps
+
+
+# numpy's global random stream is shared by every thread; see _exact_states
+_GLOBAL_RANDOM = threading.Lock()
+
+
+def _exact_states(form: _VectorForm, t: float, rows: bool):
+    """(checkpoint, time, state, True) of the action of e^(L t): the state at
+    t alone, or with ``rows`` the states at CHECKPOINTS equal steps to t."""
+    from scipy.sparse.linalg import LinearOperator, expm_multiply  # only this path needs it
+
+    size = form.state0.size
+    op = LinearOperator((size, size), matvec=form.matvec, rmatvec=form.rmatvec, dtype=form.state0.dtype)
+    # expm_multiply picks its Taylor degree and scaling from 1-norm estimates
+    # that draw random sign vectors from numpy's global stream, which changes
+    # the last bits of some results; a fixed seed, restored afterwards, makes
+    # them independent of what ran before in the process or in another thread
+    with _GLOBAL_RANDOM:
+        saved = np.random.get_state()
+        np.random.seed(0)
+        try:
+            if rows:
+                states = expm_multiply(op, form.state0, start=0.0, stop=t, num=CHECKPOINTS + 1,
+                                       endpoint=True, traceA=form.generator_trace)[1:]
+            else:
+                states = [expm_multiply(op * t, form.state0, traceA=form.generator_trace * t)]
+        finally:
+            np.random.set_state(saved)
+    dt = t / CHECKPOINTS
+    for step, state in enumerate(states, start=CHECKPOINTS + 1 - len(states)):
+        yield step, step * dt, state, True
 
 
 def vectorized_generator(rep: LindbladianRep) -> np.ndarray:
@@ -143,11 +225,14 @@ def propagator(rep: LindbladianRep, t: float) -> np.ndarray:
 def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajectory=None) -> np.ndarray:
     """rho_t = e^(L t)(rho0), validated as a density matrix.
 
-    RK4 runs on Pauli coefficients for the sampled models and on the dense
-    matrix for the Gaussian ones; the result is a dense matrix either way.
+    The state runs as a vector (:func:`_vector_form`): by the action of the
+    exponential when ``cfg.steps == 0``, by ``cfg.steps`` RK4 steps otherwise;
+    the result is a dense matrix either way.
 
     ``trajectory``, if given, is a list collecting checkpoint rows
-    (step, time, energy, trace_error, min_eig).
+    (step, time, energy, trace_error, min_eig), from step 0 at time 0; the
+    step is the RK4 step, or on the default path the checkpoint index, at
+    time step * t / CHECKPOINTS.
     """
     if rho0.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(f"state shape {rho0.shape} vs generator dimension {rep.dim}")
@@ -162,36 +247,26 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
 
     # the operator comes first, so its byte checks run before the O(N^3)
     # step bound and checkpoint spectra
-    if rep.instance.model in SAMPLED_MODELS:
-        transfer = transfer_matrix(rep)
-        # the coefficient vector is real, so an anti-Hermitian part would be lost
-        deviation = hermitian_deviation(rho0)
-        if deviation > HERM_TOL:
-            raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
-        apply_fn, state0 = (lambda r: transfer @ r), pauli_coefficients(rho0)
-        trace, dense = (lambda r: r[0]), from_pauli_coefficients
+    form = _vector_form(rep, rho0)
+    if cfg.steps:
+        _check_step_guard(rep, cfg)
+        states, suggested = _rk4_states(form, t, cfg.steps), 2 * cfg.steps
     else:
-        rep.kdagk_sum  # builds the dense stacks apply_generator multiplies
-        apply_fn, state0 = (lambda r: apply_generator(rep, r)), rho0
-        trace, dense = np.trace, (lambda r: r)
+        states, suggested = _exact_states(form, t, trajectory is not None), None
 
-    steps = _resolve_steps(rep, cfg)
-    dt = t / steps
-    every = max(1, steps // CHECKPOINTS)
-
-    def record(step, rho):
+    def record(step, time, rho):
         diag = density_matrix_diagnostics(rho)
         if diag["min_eig"] < DRIFT_EIG_FLOOR:
             raise RefinementError(
                 f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}",
-                suggested_steps=2 * steps,
+                suggested_steps=suggested,
             )
         if trajectory is not None:
             energy = float(np.trace(rho @ rep.h_dense).real)
             trajectory.append(
                 {
                     "step": step,
-                    "time": step * dt,
+                    "time": time,
                     "energy": energy,
                     "trace_error": diag["trace_err"],
                     "min_eig": diag["min_eig"],
@@ -199,17 +274,17 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
             )
         return diag
 
-    record(0, rho0)
-    for step, state in enumerate(_rk4(apply_fn, state0, t, steps), start=1):
-        trace_err = abs(trace(state) - 1.0)
+    record(0, 0.0, rho0)
+    for step, time, state, checkpoint in states:
+        trace_err = abs(form.trace(state) - 1.0)
         if trace_err > DRIFT_TRACE_TOL:
             raise RefinementError(
                 f"trace drift {trace_err:.3e} beyond {DRIFT_TRACE_TOL} at step {step}",
-                suggested_steps=2 * steps,
+                suggested_steps=suggested,
             )
-        if step % every == 0 or step == steps:
-            rho = dense(state)
-            diag = record(step, rho)
+        if checkpoint:
+            rho = form.dense(state)
+            diag = record(step, time, rho)
     _check_density(diag)  # the last checkpoint's diagnostics are those of rho
     return rho
 

@@ -107,6 +107,17 @@ def test_evolve_step_guard_exit_2_with_suggestion(capsys):
     assert "suggested steps" in err
 
 
+def test_refinement_error_without_step_count_prints_no_suggestion(capsys, monkeypatch):
+    # the default path has no step count to suggest
+    def drift(*args, **kwargs):
+        raise dissip.RefinementError("positivity drift: min eigenvalue -1.000e-05 at step 0")
+
+    monkeypatch.setattr(dissip.cli, "evolve_report", drift)
+    code, _, err = run_cli(capsys, "evolve", "--model", "sparse_pauli", "--n", "2", "--k", "2", "--m", "2")
+    assert code == 2
+    assert err.splitlines()[-1] == "error: positivity drift: min eigenvalue -1.000e-05 at step 0"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -302,15 +313,16 @@ def test_verify_defaults_are_verify_config():
 
 
 def test_verify_run_never_imports_scipy_sparse():
-    # only the sampled RK4 builds a transfer matrix; verify pays no import for it
+    # only an evolution builds a transfer matrix or takes the action of the
+    # exponential; verify pays no import for either
     script = ("import sys; from dissip.cli import main; "
               "code = main(['verify', '--instances', '1', '--condition-instances', '1', "
               "'--probes', '1', '--tail-draws', '1']); "
-              "print(code, 'scipy.sparse' in sys.modules)")
+              "print(code, 'scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
     src = str(Path(dissip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert out.stdout.split()[-3:] == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("flag", ["--instances", "--condition-instances", "--probes", "--tail-draws"])

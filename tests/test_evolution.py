@@ -1,12 +1,18 @@
-"""Channel properties: RK4 vs exact exponential, duality, contraction, Choi."""
+"""Channel properties: the default path and RK4 vs the exact exponential, duality,
+contraction, Choi."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
-from helpers import draw, single_z_instance
+from helpers import draw, rk4_reference_steps, single_z_instance
 
+from dissip.analysis import schedule
 from dissip.densemat import random_hermitian, spectral_norm, unvec, vec
 from dissip.errors import CapacityError, RefinementError, ValidationError
 from dissip.evolution import (
+    CHECKPOINTS,
     EvolutionConfig,
     choi_matrix,
     choi_output_trace,
@@ -57,10 +63,10 @@ def test_single_qubit_energy_matches_expm_oracle():
     rep = build_lindbladian(single_z_instance(), y=-0.1)
     mu = maximally_mixed(1)
     z = np.diag([1.0, -1.0])
-    rho_rk4 = evolve(rep, mu, EvolutionConfig(t_final=0.2))
+    rho_default = evolve(rep, mu, EvolutionConfig(t_final=0.2))
     rho_expm = evolve(rep, mu, EvolutionConfig(t_final=0.2, method="expm"))
-    assert abs(np.trace(rho_rk4 @ z) - np.trace(rho_expm @ z)) < 1e-7
-    assert np.trace(rho_rk4 @ z).real > 0  # negative y pushes energy up
+    assert abs(np.trace(rho_default @ z) - np.trace(rho_expm @ z)) < 1e-7
+    assert np.trace(rho_default @ z).real > 0  # negative y pushes energy up
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +77,95 @@ def test_single_qubit_energy_matches_expm_oracle():
 def test_rk4_matches_expm(seed):
     rep = rep_for("sparse_pauli", 3, 2, 5, seed, -0.15)
     mu = maximally_mixed(3)
-    cfg = EvolutionConfig(t_final=0.4)
+    cfg = EvolutionConfig(t_final=0.4, steps=rk4_reference_steps(rep, 0.4))
     a = evolve(rep, mu, cfg)
     b = evolve(rep, mu, EvolutionConfig(t_final=0.4, method="expm"))
     assert np.abs(a - b).max() < 1e-7
+
+
+# every model, at N <= 32 so that the oracle's N^2 x N^2 exponential stays small
+DEFAULT_PATH_CASES = [
+    ("sparse_pauli", 3, 2, 5),
+    ("sparse_pauli", 5, 3, 8),
+    ("sparse_fermion", 6, 2, 5),
+    ("sparse_fermion", 10, 4, 8),
+    ("gaussian_pauli", 3, 2, None),
+    ("gaussian_pauli", 4, 3, None),
+    ("syk", 6, 4, None),
+    ("syk", 10, 4, None),
+]
+
+
+@pytest.mark.parametrize("model, n, k, m", DEFAULT_PATH_CASES)
+def test_default_path_matches_expm(model, n, k, m):
+    rep = rep_for(model, n, k, m, 2, -0.15)
+    mu = maximally_mixed(rep.instance.qubits)
+    exact = evolve(rep, mu, EvolutionConfig(t_final=0.4, method="expm"))
+    assert np.abs(evolve(rep, mu, EvolutionConfig(t_final=0.4)) - exact).max() <= 1e-12
+    with_rows = evolve(rep, mu, EvolutionConfig(t_final=0.4), trajectory=[])
+    assert np.abs(with_rows - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model, n, k, m", [("sparse_fermion", 6, 2, 5), ("syk", 6, 4, None)])
+def test_default_trajectory_rows(model, n, k, m):
+    rep = rep_for(model, n, k, m, 4, -0.2)
+    mu = maximally_mixed(rep.instance.qubits)
+    t = 0.3
+    rows = []
+    rho = evolve(rep, mu, EvolutionConfig(t_final=t), trajectory=rows)
+    assert [row["step"] for row in rows] == list(range(CHECKPOINTS + 1))
+    assert [row["time"] for row in rows] == [i * t / CHECKPOINTS for i in range(CHECKPOINTS + 1)]
+    assert abs(rows[-1]["energy"] - np.trace(rho @ rep.h_dense).real) <= 1e-12
+    for row in rows:
+        exact = evolve(rep, mu, EvolutionConfig(t_final=row["time"], method="expm"))
+        assert abs(row["energy"] - np.trace(exact @ rep.h_dense).real) <= 1e-12
+        assert row["trace_error"] <= 1e-9 and row["min_eig"] >= -1e-8
+
+
+def sensitive_rep():
+    inst = draw("sparse_pauli", 4, 2, m=6, seed=1)
+    return build_lindbladian(inst, schedule(inst).y)
+
+
+def test_default_path_ignores_the_global_random_stream():
+    # expm_multiply draws its 1-norm estimates from numpy's global stream; on
+    # this instance most seeds would give other last bits
+    rep = sensitive_rep()
+    mu = maximally_mixed(4)
+    results = set()
+    for seed in range(12):
+        np.random.seed(seed)
+        results.add(evolve(rep, mu, EvolutionConfig(t_final=1.0)).tobytes())
+        assert np.random.random() == np.random.RandomState(seed).random()  # the stream is restored
+    assert len(results) == 1
+
+
+def test_default_path_is_bit_identical_across_threads():
+    # the threads share numpy's global stream, so each call's seeding and
+    # draws must not interleave with another's; without the lock about one
+    # call in 60 here gets other last bits
+    rep = sensitive_rep()
+    mu = maximally_mixed(4)
+    cfg = EvolutionConfig(t_final=1.0)
+    reference = evolve(rep, mu, cfg).tobytes()
+    results = []
+
+    def run():
+        for _ in range(40):
+            results.append(evolve(rep, mu, cfg).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [reference] * 160
 
 
 def test_rk4_fourth_order_convergence():

@@ -6,13 +6,12 @@ share only the instance.
 """
 
 import dataclasses
-import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import draw, single_z_instance
+from helpers import draw, rk4_reference_steps, single_z_instance
 
 import dissip.densemat
 import dissip.evolution
@@ -20,7 +19,7 @@ import dissip.lindblad
 from dissip.analysis import schedule
 from dissip.densemat import random_density, random_hermitian
 from dissip.errors import CapacityError, ValidationError
-from dissip.evolution import AUTO_STEP_TARGET, EvolutionConfig, evolve, maximally_mixed
+from dissip.evolution import EvolutionConfig, evolve, maximally_mixed
 from dissip.lindblad import (
     LindbladianRep,
     apply_generator,
@@ -122,8 +121,8 @@ def test_c08_cells_evolve_like_dense_rk4(model, n, k, m):
     sched = schedule(inst)
     rep = build_lindbladian(inst, sched.y)
     rows = []
-    evolve(rep, maximally_mixed(inst.qubits), EvolutionConfig(t_final=sched.t), trajectory=rows)
-    steps = max(8, math.ceil(rep.norm_bound * sched.t / AUTO_STEP_TARGET))
+    steps = rk4_reference_steps(rep, sched.t)
+    evolve(rep, maximally_mixed(inst.qubits), EvolutionConfig(t_final=sched.t, steps=steps), trajectory=rows)
     assert rows[-1]["step"] == steps
     every = max(1, steps // 8)
     expected_steps = [0] + [s for s in range(1, steps + 1) if s % every == 0 or s == steps]
@@ -162,6 +161,17 @@ def test_sampled_evolution_never_builds_dense_stacks(transfer_builds):
     evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2))
     assert transfer_builds == [rep]
     assert not {"k_stack", "k_stack_dag", "kdagk_sum"} & set(vars(rep))
+
+
+def test_sampled_default_evolution_builds_no_norm_bound(transfer_builds):
+    # the action of the exponential needs no step count, so neither the
+    # norm bound (|A| dense jumps and SVDs) nor any dense stack is built
+    rep = build_lindbladian(draw("sparse_fermion", 6, 4, m=5, seed=1), -0.1)
+    evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2), trajectory=[])
+    assert transfer_builds == [rep]
+    assert not {"norm_bound", "k_stack", "k_stack_dag", "kdagk_sum"} & set(vars(rep))
+    evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2, steps=64))
+    assert "norm_bound" in vars(rep)  # the explicit RK4 checks its step guard
 
 
 def test_rep_is_instance_and_coupling():
