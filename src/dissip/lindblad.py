@@ -122,7 +122,7 @@ class LindbladianRep:
     """The generator of one Hamiltonian draw, ``(instance, y)``.
 
     Every working form is built on first use and checks its own bytes before
-    it allocates.  The RK4 of the sampled models runs on
+    it allocates.  The evolution of the sampled models runs on
     :func:`transfer_matrix` and never builds a dense jump stack.
     """
 
@@ -301,7 +301,7 @@ def transfer_matrix(rep: LindbladianRep):
     arrays, so no vector outlives its shift.  T^T is the Heisenberg-picture
     generator on the same coefficients.
     """
-    from scipy.sparse import csr_matrix  # only the sampled RK4 needs it
+    from scipy.sparse import csr_matrix  # only the sampled evolution needs it
 
     q = rep.instance.qubits
     size = 1 << (2 * q)

@@ -157,21 +157,13 @@ def test_gaussian_evolution_never_builds_transfer(transfer_builds):
 
 
 def test_sampled_evolution_never_builds_dense_stacks(transfer_builds):
+    # the default path needs no step count, so not even the norm bound
+    # (|A| dense jumps and their SVDs) is built
     rep = build_lindbladian(draw("sparse_pauli", 3, 2, m=5, seed=0), -0.1)
     evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2))
-    assert transfer_builds == [rep]
-    assert not {"k_stack", "k_stack_dag", "kdagk_sum"} & set(vars(rep))
-
-
-def test_sampled_default_evolution_builds_no_norm_bound(transfer_builds):
-    # the action of the exponential needs no step count, so neither the
-    # norm bound (|A| dense jumps and SVDs) nor any dense stack is built
-    rep = build_lindbladian(draw("sparse_fermion", 6, 4, m=5, seed=1), -0.1)
     evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2), trajectory=[])
-    assert transfer_builds == [rep]
+    assert transfer_builds == [rep, rep]
     assert not {"norm_bound", "k_stack", "k_stack_dag", "kdagk_sum"} & set(vars(rep))
-    evolve(rep, maximally_mixed(3), EvolutionConfig(t_final=0.2, steps=64))
-    assert "norm_bound" in vars(rep)  # the explicit RK4 checks its step guard
 
 
 def test_rep_is_instance_and_coupling():
