@@ -6,12 +6,14 @@ transfer matrix; for the Gaussian models the flattened N x N matrix, on which
 it applies the dense jump stacks, (2|A| + 2) matrix products per application.
 
 By default (``steps == 0``) rho_t is the action of the exponential on that
-vector, computed with ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and
-Higham 2011), which picks its own Taylor degree and number of scaling steps
-from 1-norm estimates; it needs no norm bound and no step count.  With an
-explicit ``steps > 0`` it is fixed-step classical RK4 instead, under the
-validity guard (generator norm bound) * dt <= 0.1; a run that violates the
-guard raises a refinement error carrying the suggested step count.
+vector: the truncated Taylor method of Al-Mohy and Higham (2011), with its
+degree and number of scaling steps chosen from the 1-norm of the shifted
+generator (exact for the transfer matrix, a Kronecker-product bound for the
+jump stacks), so it needs no step count and draws no random numbers.  The
+checkpoint states share the Taylor terms of the scaling step they fall in.
+With an explicit ``steps > 0`` it is fixed-step classical RK4 instead, under
+the validity guard (generator norm bound) * dt <= 0.1; a run that violates
+the guard raises a refinement error carrying the suggested step count.
 
 Both paths check the state the same way: the initial state's spectrum, the
 trace of every computed state, the spectrum at every checkpoint (where a
@@ -29,7 +31,6 @@ contraction check read a P passed in, so one exponential serves both.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,7 +40,7 @@ from scipy.linalg import expm
 from .densemat import hermitian_deviation, random_hermitian, spectral_norm, unvec, vec
 from .ensembles import SAMPLED_MODELS
 from .errors import CapacityError, DimensionMismatchError, RefinementError, ValidationError
-from .lindblad import LindbladianRep, apply_generator, apply_generator_adjoint, transfer_matrix
+from .lindblad import LindbladianRep, apply_generator, transfer_matrix
 from .operators import from_pauli_coefficients, pauli_coefficients
 
 STEP_GUARD = 0.1          # max allowed (norm bound) * dt
@@ -52,6 +53,17 @@ DRIFT_EIG_FLOOR = -1e-6   # checkpoint min eigenvalue that aborts the run
 HERM_TOL = 1e-10          # validate_density_matrix thresholds
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
+# theta_m of Al-Mohy and Higham (2011), Tables A.3 and 3.1 (double precision):
+# s steps of Taylor degree m meet unit roundoff when ||t A|| / s <= theta_m
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,8 @@ class _VectorForm(NamedTuple):
     """The generator and the state of one run as a vector (see :func:`_vector_form`)."""
 
     matvec: Callable        # L on a state vector
-    rmatvec: Callable       # Ldag on the same vectors
-    generator_trace: float  # Tr L as a matrix on the vectors
+    shift: float            # Tr L / (vector length), the mean eigenvalue of L
+    shifted_norm: float     # ||L - shift I||_1 on the vectors, or an upper bound
     state0: np.ndarray
     trace: Callable         # Tr rho of a state vector
     dense: Callable         # rho of a state vector
@@ -132,30 +144,45 @@ class _VectorForm(NamedTuple):
 
 def _vector_form(rep: LindbladianRep, rho0: np.ndarray) -> _VectorForm:
     """The sampled models' real Pauli coefficients under the transfer matrix,
-    or the Gaussian models' flattened matrix under the dense jump stacks.
-
-    Both vector maps are isometries up to a constant, so Ldag is the adjoint
-    of L on the vectors too.
-    """
+    or the Gaussian models' flattened matrix under the dense jump stacks."""
     if rep.instance.model in SAMPLED_MODELS:
         transfer = transfer_matrix(rep)
         # the coefficient vector is real, so an anti-Hermitian part would be lost
         deviation = hermitian_deviation(rho0)
         if deviation > HERM_TOL:
             raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
-        # T.T is a CSC view of the same arrays, not a copy
-        return _VectorForm(transfer.dot, transfer.T.dot, float(transfer.diagonal().sum()),
+        diagonal = transfer.diagonal()
+        shift = float(diagonal.mean())
+        return _VectorForm(transfer.dot, shift, _shifted_csr_norm(transfer, diagonal, shift),
                            pauli_coefficients(rho0), lambda r: r[0], from_pauli_coefficients)
     dim = rep.dim
-    # every jump is traceless, so Tr L = -N Tr(sum_a K^a_dag K^a); building the
-    # sum builds the dense stacks apply_generator multiplies
-    generator_trace = -dim * float(np.trace(rep.kdagk_sum).real)
+    # L = sum_a K^a (x) conj(K^a) - (1/2)(G (x) I + I (x) G^T) on row-major
+    # vectors, G = sum_a K^a_dag K^a; every jump is traceless, so Tr L = -N Tr G
+    # and L - shift I keeps G - (Tr G / N) I in place of G.  ||A (x) B||_1 =
+    # ||A||_1 ||B||_1 bounds the rest; building G builds the dense stacks
+    # apply_generator multiplies
+    kdagk = rep.kdagk_sum
+    mean = np.trace(kdagk).real / dim
+    columns = np.array([np.abs(k).sum(axis=0) for k in rep.k_stack])  # (|A|, N) column sums
+    bound = (columns.T @ columns).max() + np.abs(kdagk - mean * np.eye(dim)).sum(axis=0).max()
     return _VectorForm(
         lambda v: apply_generator(rep, v.reshape(dim, dim)).ravel(),
-        lambda v: apply_generator_adjoint(rep, v.reshape(dim, dim)).ravel(),
-        generator_trace, rho0.astype(complex, copy=False).ravel(),
+        -float(mean), float(bound), rho0.astype(complex, copy=False).ravel(),
         lambda v: np.trace(v.reshape(dim, dim)), lambda v: v.reshape(dim, dim),
     )
+
+
+# nonzeros read at a time for the 1-norm, so no copy of a large T is held
+_NORM_CHUNK = 1 << 14
+
+
+def _shifted_csr_norm(matrix, diagonal: np.ndarray, shift: float) -> float:
+    """||matrix - shift I||_1, the largest absolute column sum."""
+    sums = np.zeros(matrix.shape[1])
+    for lo in range(0, matrix.nnz, _NORM_CHUNK):
+        sums += np.bincount(matrix.indices[lo:lo + _NORM_CHUNK], minlength=matrix.shape[1],
+                            weights=np.abs(matrix.data[lo:lo + _NORM_CHUNK]))
+    return float((sums - np.abs(diagonal) + np.abs(diagonal - shift)).max())
 
 
 def _rk4_states(form: _VectorForm, t: float, steps: int):
@@ -172,35 +199,53 @@ def _rk4_states(form: _VectorForm, t: float, steps: int):
         yield step, step * dt, state, step % every == 0 or step == steps
 
 
-# numpy's global random stream is shared by every thread; see _exact_states
-_GLOBAL_RANDOM = threading.Lock()
+def _taylor_parameters(norm: float) -> tuple[int, int]:
+    """(degree m, scaling steps s) with the fewest products m s such that
+    norm / s <= theta_m, for ``norm`` = ||t A||_1 or an upper bound of it."""
+    if norm == 0.0:
+        return 0, 1
+    return min(((m, max(1, math.ceil(norm / theta))) for m, theta in TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
 
 
 def _exact_states(form: _VectorForm, t: float, rows: bool):
     """(checkpoint, time, state, True) of the action of e^(L t): the state at
-    t alone, or with ``rows`` the states at CHECKPOINTS equal steps to t."""
-    from scipy.sparse.linalg import LinearOperator, expm_multiply  # only this path needs it
+    t alone, or with ``rows`` the states at CHECKPOINTS equal steps to t.
 
-    size = form.state0.size
-    op = LinearOperator((size, size), matvec=form.matvec, rmatvec=form.rmatvec, dtype=form.state0.dtype)
-    # expm_multiply picks its Taylor degree and scaling from 1-norm estimates
-    # that draw random sign vectors from numpy's global stream, which changes
-    # the last bits of some results; a fixed seed, restored afterwards, makes
-    # them independent of what ran before in the process or in another thread
-    with _GLOBAL_RANDOM:
-        saved = np.random.get_state()
-        np.random.seed(0)
-        try:
-            if rows:
-                states = expm_multiply(op, form.state0, start=0.0, stop=t, num=CHECKPOINTS + 1,
-                                       endpoint=True, traceA=form.generator_trace)[1:]
-            else:
-                states = [expm_multiply(op * t, form.state0, traceA=form.generator_trace * t)]
-        finally:
-            np.random.set_state(saved)
-    dt = t / CHECKPOINTS
-    for step, state in enumerate(states, start=CHECKPOINTS + 1 - len(states)):
-        yield step, step * dt, state, True
+    Each of the s scaling steps sums the Taylor series of e^(h A), h = t / s,
+    A = L - shift I, on the step's first state until two successive terms are
+    negligible (Al-Mohy and Higham 2011, Algorithm 3.2); a checkpoint at
+    fraction f of a step weights the same terms by f^j, whose series
+    converges at least as fast.
+    """
+    points = CHECKPOINTS if rows else 1
+    degree, steps = _taylor_parameters(form.shifted_norm * t)
+    h = t / steps
+    base, point = form.state0, 1
+    for step in range(1, steps + 1):
+        # the points in (step - 1, step] h and their fractions of the step;
+        # the step's end comes last, whether or not it is a point
+        fractions = []
+        while point <= points and point * steps <= step * points:
+            fractions.append((point, (point * steps - (step - 1) * points) / points))
+            point += 1
+        if not fractions or fractions[-1][1] != 1.0:
+            fractions.append((None, 1.0))
+        sums = [base.copy() for _ in fractions]
+        term, last_norm = base, np.abs(base).max()
+        for j in range(1, degree + 1):
+            term = (h / j) * (form.matvec(term) - form.shift * term)
+            for total, (_, fraction) in zip(sums, fractions):
+                total += fraction**j * term
+            term_norm = np.abs(term).max()
+            if last_norm + term_norm <= UNIT_ROUNDOFF * np.abs(sums[-1]).max():
+                break
+            last_norm = term_norm
+        for total, (at, fraction) in zip(sums, fractions):
+            total *= math.exp(form.shift * fraction * h)
+            if at is not None:
+                yield at * CHECKPOINTS // points, at * t / points, total, True
+        base = sums[-1]
 
 
 def vectorized_generator(rep: LindbladianRep) -> np.ndarray:

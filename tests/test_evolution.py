@@ -1,6 +1,7 @@
 """Channel properties: the default path and RK4 vs the exact exponential, duality,
 contraction, Choi."""
 
+import math
 import sys
 import threading
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 from helpers import draw, rk4_reference_steps, single_z_instance
 
+import dissip.evolution
 from dissip.analysis import schedule
 from dissip.densemat import random_hermitian, spectral_norm, unvec, vec
 from dissip.errors import CapacityError, RefinementError, ValidationError
 from dissip.evolution import (
     CHECKPOINTS,
+    TAYLOR_THETA,
     EvolutionConfig,
     choi_matrix,
     choi_output_trace,
@@ -25,8 +28,9 @@ from dissip.evolution import (
     required_steps,
     validate_density_matrix,
     vectorized_generator,
+    _taylor_parameters,
 )
-from dissip.lindblad import apply_generator, build_lindbladian
+from dissip.lindblad import apply_generator, build_lindbladian, transfer_matrix
 
 
 def rep_for(model, n, k, m, seed, y):
@@ -128,8 +132,9 @@ def sensitive_rep():
 
 
 def test_default_path_ignores_the_global_random_stream():
-    # expm_multiply draws its 1-norm estimates from numpy's global stream; on
-    # this instance most seeds would give other last bits
+    # the Taylor parameters come from an exact 1-norm, not from estimates
+    # drawn from numpy's global stream, which on this instance would give
+    # other last bits for most seeds
     rep = sensitive_rep()
     mu = maximally_mixed(4)
     results = set()
@@ -141,9 +146,8 @@ def test_default_path_ignores_the_global_random_stream():
 
 
 def test_default_path_is_bit_identical_across_threads():
-    # the threads share numpy's global stream, so each call's seeding and
-    # draws must not interleave with another's; without the lock about one
-    # call in 60 here gets other last bits
+    # evolutions in several threads share no state, so none can change the
+    # last bits of another's result
     rep = sensitive_rep()
     mu = maximally_mixed(4)
     cfg = EvolutionConfig(t_final=1.0)
@@ -166,6 +170,67 @@ def test_default_path_is_bit_identical_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [reference] * 160
+
+
+def counting_matvecs(monkeypatch):
+    counts = []
+    vector_form = dissip.evolution._vector_form
+
+    def counted(rep, rho0):
+        form = vector_form(rep, rho0)
+
+        def matvec(v):
+            counts[-1] += 1
+            return form.matvec(v)
+        counts.append(0)
+        return form._replace(matvec=matvec)
+
+    monkeypatch.setattr(dissip.evolution, "_vector_form", counted)
+    return counts
+
+
+@pytest.mark.parametrize("model, n, k, m, t", [("sparse_pauli", 4, 2, 6, 1.0), ("sparse_pauli", 4, 2, 6, 9.0),
+                                               ("syk", 6, 4, None, 0.3)])
+def test_trajectory_shares_the_taylor_terms(monkeypatch, model, n, k, m, t):
+    # the checkpoints reuse the terms of the scaling step they fall in, so the
+    # rows cost no product and leave the state at t unchanged to the bit;
+    # t = 9 takes several scaling steps
+    rep = rep_for(model, n, k, m, 1, -0.2)
+    mu = maximally_mixed(rep.instance.qubits)
+    counts = counting_matvecs(monkeypatch)
+    alone = evolve(rep, mu, EvolutionConfig(t_final=t))
+    rows = []
+    with_rows = evolve(rep, mu, EvolutionConfig(t_final=t), trajectory=rows)
+    assert counts[0] == counts[1] > 0
+    assert np.array_equal(alone, with_rows)
+    assert len(rows) == CHECKPOINTS + 1
+
+
+@pytest.mark.parametrize("model, n, k, m", [("sparse_pauli", 3, 2, 5), ("sparse_fermion", 6, 2, 5),
+                                            ("gaussian_pauli", 3, 2, None), ("syk", 6, 4, None)])
+def test_taylor_norm_bounds_the_shifted_generator(model, n, k, m):
+    # exact for the transfer matrix, an upper bound for the jump stacks; the
+    # 1-norm is the same on row- and column-stacked vectors
+    rep = rep_for(model, n, k, m, 2, -0.15)
+    form = dissip.evolution._vector_form(rep, maximally_mixed(rep.instance.qubits))
+    generator = vectorized_generator(rep)
+    shift = np.trace(generator).real / generator.shape[0]
+    exact = np.abs(generator - shift * np.eye(generator.shape[0])).sum(axis=0).max()
+    assert form.shift == pytest.approx(shift, rel=1e-12, abs=1e-12)
+    if model in ("sparse_pauli", "sparse_fermion"):
+        transfer = transfer_matrix(rep).toarray()
+        assert form.shifted_norm == pytest.approx(
+            np.abs(transfer - shift * np.eye(transfer.shape[0])).sum(axis=0).max(), rel=1e-12)
+    else:
+        assert exact <= form.shifted_norm * (1 + 1e-12)
+
+
+def test_taylor_parameters_fewest_products():
+    for norm in (1e-3, 0.5, 9.9, 63.0, 400.0):
+        m, s = _taylor_parameters(norm)
+        assert norm / s <= TAYLOR_THETA[m]
+        assert all(m * s <= mm * max(1, math.ceil(norm / theta)) for mm, theta in TAYLOR_THETA.items())
+    assert _taylor_parameters(0.0) == (0, 1)
 
 
 def test_rk4_fourth_order_convergence():
