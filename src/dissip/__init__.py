@@ -66,7 +66,6 @@ from .experiment import (
 from .lindblad import (
     LindbladianRep,
     apply_generator,
-    apply_generator_adjoint,
     build_jump_set,
     build_lindbladian,
 )

@@ -25,7 +25,7 @@ from .ensembles import (
     instance_to_json,
     sample,
 )
-from .errors import DissipError, RefinementError, ValidationError
+from .errors import DissipError, ValidationError
 from .evolution import EvolutionConfig
 from .experiment import (
     VerifyConfig,
@@ -102,8 +102,7 @@ def cmd_evolve(args) -> int:
     instance = sample(_spec_from(args))
     y, t = schedule(instance, y=args.y, t=args.t, c_y=args.c_y, c_t=args.c_t)
     trajectory = [] if args.trajectory else None
-    report = evolve_report(instance, y, EvolutionConfig(t_final=t, steps=args.steps, method=args.method),
-                           trajectory)
+    report = evolve_report(instance, y, EvolutionConfig(t_final=t, method=args.method), trajectory)
     if args.trajectory:
         with open(args.trajectory, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -235,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--c-y", dest="c_y", type=float, default=None)
     p.add_argument("--c-t", dest="c_t", type=float, default=None)
-    p.add_argument("--steps", type=int, default=0,
-                   help="0 (default): exact action of e^(Lt); N > 0: N RK4 steps under the guard")
-    p.add_argument("--method", choices=["rk4", "expm"], default="rk4")
+    p.add_argument("--method", choices=["rk4", "expm"], default="rk4",
+                   help="rk4 (default): the exact action of e^(Lt); expm: the dense propagator, N <= 64")
     p.add_argument("--trajectory", default=None, help="CSV path for checkpoint rows")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evolve)
@@ -293,10 +291,6 @@ def parse_and_dispatch(argv) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
-        return 2
-    except RefinementError as exc:
-        hint = "" if exc.suggested_steps is None else f" (suggested steps: {exc.suggested_steps})"
-        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (DissipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

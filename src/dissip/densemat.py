@@ -54,10 +54,3 @@ def spectral_norm(mat: np.ndarray, hermitian: bool = False) -> float:
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix (Wishart normalized to unit trace)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    w = g @ g.conj().T
-    return w / np.trace(w).real

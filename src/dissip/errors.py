@@ -18,14 +18,7 @@ class CapacityError(DissipError):
 
 
 class RefinementError(DissipError):
-    """An integration run needs a finer step size to stay within its guards.
-
-    Carries ``suggested_steps`` so callers can retry.
-    """
-
-    def __init__(self, message, suggested_steps=None):
-        super().__init__(message)
-        self.suggested_steps = suggested_steps
+    """An evolution drifted past its trace or positivity guard."""
 
 
 class EnumerationBudgetError(DissipError):

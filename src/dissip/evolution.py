@@ -5,18 +5,13 @@ coefficient vector (length N^2), on which the generator is the sparse
 transfer matrix; for the Gaussian models the flattened N x N matrix, on which
 it applies the dense jump stacks, (2|A| + 2) matrix products per application.
 
-By default (``steps == 0``) rho_t is the action of the exponential on that
-vector: the truncated Taylor method of Al-Mohy and Higham (2011), with its
-degree and number of scaling steps chosen from the 1-norm of the shifted
-generator (exact for the transfer matrix, a Kronecker-product bound for the
-jump stacks), so it needs no step count and draws no random numbers.  The
-checkpoint states share the Taylor terms of the scaling step they fall in.
-With an explicit ``steps > 0`` it is fixed-step classical RK4 instead, under
-the validity guard (generator norm bound) * dt <= 0.1; a run that violates
-the guard raises a refinement error carrying the suggested step count.
-
-Both paths check the state the same way: the initial state's spectrum, the
-trace of every computed state, the spectrum at every checkpoint (where a
+rho_t is the action of the exponential on that vector: the truncated Taylor
+method of Al-Mohy and Higham (2011), with its degree and number of scaling
+steps chosen from the 1-norm of the shifted generator (exact for the transfer
+matrix, a Kronecker-product bound for the jump stacks), so it needs no step
+count and draws no random numbers.  The checkpoint states share the Taylor
+terms of the scaling step they fall in.  The run checks the initial state's
+spectrum, the trace and the spectrum of every checkpoint state (where the
 vector is turned back into a matrix; a drift past -1e-6 aborts the run rather
 than being silently projected away) and the result as a density matrix.
 
@@ -43,10 +38,9 @@ from .errors import CapacityError, DimensionMismatchError, RefinementError, Vali
 from .lindblad import LindbladianRep, apply_generator, transfer_matrix
 from .operators import from_pauli_coefficients, pauli_coefficients
 
-STEP_GUARD = 0.1          # max allowed (norm bound) * dt
 EXPM_DIM_LIMIT = 64
-# RK4 checks the spectrum every steps // CHECKPOINTS steps and at the end; the
-# default path at t, or at CHECKPOINTS equal steps to t when it records rows
+# the spectrum is checked at t, or at CHECKPOINTS equal steps to t when a run
+# records trajectory rows
 CHECKPOINTS = 8
 DRIFT_TRACE_TOL = 1e-9    # trace drift of a computed state that aborts the run
 DRIFT_EIG_FLOOR = -1e-6   # checkpoint min eigenvalue that aborts the run
@@ -70,13 +64,12 @@ UNIT_ROUNDOFF = 2.0**-53
 class EvolutionConfig:
     """Integration parameters.
 
-    ``steps == 0`` (the default): the exact action of e^(L t); ``steps > 0``:
-    that many RK4 steps under the step guard.  ``method="expm"`` applies the
-    dense propagator instead (N <= 64) and ignores ``steps``.
+    ``method="rk4"`` (the default, a name kept from the removed fixed-step
+    integrator) takes the exact action of e^(L t); ``method="expm"`` applies
+    the dense propagator instead (N <= 64).
     """
 
     t_final: float
-    steps: int = 0
     method: str = "rk4"
 
     def __post_init__(self):
@@ -84,8 +77,6 @@ class EvolutionConfig:
             raise ValidationError(f"evolution time must be finite, got {self.t_final!r}")
         if self.t_final < 0:
             raise ValidationError("evolution time must be nonnegative")
-        if self.steps < 0:
-            raise ValidationError("steps must be nonnegative")
         if self.method not in ("rk4", "expm"):
             raise ValidationError(f"unknown method {self.method!r}")
 
@@ -116,19 +107,6 @@ def _check_density(diag: dict) -> dict:
 
 def validate_density_matrix(rho) -> dict:
     return _check_density(density_matrix_diagnostics(rho))
-
-
-def required_steps(rep: LindbladianRep, t: float) -> int:
-    return max(1, math.ceil(rep.norm_bound * t / STEP_GUARD))
-
-
-def _check_step_guard(rep, cfg):
-    if rep.norm_bound * cfg.t_final / cfg.steps > STEP_GUARD * (1 + 1e-12):
-        raise RefinementError(
-            f"step guard violated: {cfg.steps} steps give "
-            f"norm*dt = {rep.norm_bound * cfg.t_final / cfg.steps:.3f} > {STEP_GUARD}",
-            suggested_steps=required_steps(rep, cfg.t_final),
-        )
 
 
 class _VectorForm(NamedTuple):
@@ -185,20 +163,6 @@ def _shifted_csr_norm(matrix, diagonal: np.ndarray, shift: float) -> float:
     return float((sums - np.abs(diagonal) + np.abs(diagonal - shift)).max())
 
 
-def _rk4_states(form: _VectorForm, t: float, steps: int):
-    """(step, time, state, checkpoint?) after every classical RK4 step."""
-    apply_fn, state = form.matvec, form.state0
-    dt = t / steps
-    every = max(1, steps // CHECKPOINTS)
-    for step in range(1, steps + 1):
-        k1 = apply_fn(state)
-        k2 = apply_fn(state + 0.5 * dt * k1)
-        k3 = apply_fn(state + 0.5 * dt * k2)
-        k4 = apply_fn(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield step, step * dt, state, step % every == 0 or step == steps
-
-
 def _taylor_parameters(norm: float) -> tuple[int, int]:
     """(degree m, scaling steps s) with the fewest products m s such that
     norm / s <= theta_m, for ``norm`` = ||t A||_1 or an upper bound of it."""
@@ -209,7 +173,7 @@ def _taylor_parameters(norm: float) -> tuple[int, int]:
 
 
 def _exact_states(form: _VectorForm, t: float, rows: bool):
-    """(checkpoint, time, state, True) of the action of e^(L t): the state at
+    """(checkpoint, time, state) of the action of e^(L t): the state at
     t alone, or with ``rows`` the states at CHECKPOINTS equal steps to t.
 
     Each of the s scaling steps sums the Taylor series of e^(h A), h = t / s,
@@ -244,7 +208,7 @@ def _exact_states(form: _VectorForm, t: float, rows: bool):
         for total, (at, fraction) in zip(sums, fractions):
             total *= math.exp(form.shift * fraction * h)
             if at is not None:
-                yield at * CHECKPOINTS // points, at * t / points, total, True
+                yield at * CHECKPOINTS // points, at * t / points, total
         base = sums[-1]
 
 
@@ -270,14 +234,12 @@ def propagator(rep: LindbladianRep, t: float) -> np.ndarray:
 def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajectory=None) -> np.ndarray:
     """rho_t = e^(L t)(rho0), validated as a density matrix.
 
-    The state runs as a vector (:func:`_vector_form`): by the action of the
-    exponential when ``cfg.steps == 0``, by ``cfg.steps`` RK4 steps otherwise;
-    the result is a dense matrix either way.
+    The state runs as a vector (:func:`_vector_form`) under the action of
+    the exponential; the result is a dense matrix.
 
     ``trajectory``, if given, is a list collecting checkpoint rows
     (step, time, energy, trace_error, min_eig), from step 0 at time 0; the
-    step is the RK4 step, or on the default path the checkpoint index, at
-    time step * t / CHECKPOINTS.
+    step is the checkpoint index, at time step * t / CHECKPOINTS.
     """
     if rho0.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(f"state shape {rho0.shape} vs generator dimension {rep.dim}")
@@ -291,21 +253,13 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         return rho
 
     # the operator comes first, so its byte checks run before the O(N^3)
-    # step bound and checkpoint spectra
+    # checkpoint spectra
     form = _vector_form(rep, rho0)
-    if cfg.steps:
-        _check_step_guard(rep, cfg)
-        states, suggested = _rk4_states(form, t, cfg.steps), 2 * cfg.steps
-    else:
-        states, suggested = _exact_states(form, t, trajectory is not None), None
 
     def record(step, time, rho):
         diag = density_matrix_diagnostics(rho)
         if diag["min_eig"] < DRIFT_EIG_FLOOR:
-            raise RefinementError(
-                f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}",
-                suggested_steps=suggested,
-            )
+            raise RefinementError(f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}")
         if trajectory is not None:
             energy = float(np.trace(rho @ rep.h_dense).real)
             trajectory.append(
@@ -320,16 +274,12 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
         return diag
 
     record(0, 0.0, rho0)
-    for step, time, state, checkpoint in states:
+    for step, time, state in _exact_states(form, t, trajectory is not None):
         trace_err = abs(form.trace(state) - 1.0)
         if trace_err > DRIFT_TRACE_TOL:
-            raise RefinementError(
-                f"trace drift {trace_err:.3e} beyond {DRIFT_TRACE_TOL} at step {step}",
-                suggested_steps=suggested,
-            )
-        if checkpoint:
-            rho = form.dense(state)
-            diag = record(step, time, rho)
+            raise RefinementError(f"trace drift {trace_err:.3e} beyond {DRIFT_TRACE_TOL} at step {step}")
+        rho = form.dense(state)
+        diag = record(step, time, rho)
     _check_density(diag)  # the last checkpoint's diagnostics are those of rho
     return rho
 

@@ -81,7 +81,6 @@ class ExperimentConfig:
     draws: int
     master_seed: int = 0
     method: str = "rk4"
-    steps: int = 0
     results_csv: Optional[str] = None
     stats_json: Optional[str] = None
     manifest_json: Optional[str] = None
@@ -91,13 +90,13 @@ class ExperimentConfig:
             raise ValidationError("draws must be >= 1")
         if len({c.cell_id for c in self.cells}) != len(self.cells):
             raise ValidationError("cell ids must be unique")
-        EvolutionConfig(t_final=0.0, steps=self.steps, method=self.method)  # the draws' own checks
+        EvolutionConfig(t_final=0.0, method=self.method)  # the draws' own checks
 
     def to_dict(self) -> dict:
         return {
             "master_seed": self.master_seed,
             "draws": self.draws,
-            "evolution": {"method": self.method, "steps": self.steps},
+            "evolution": {"method": self.method},
             "cells": [
                 {
                     ("id" if k == "cell_id" else k): v
@@ -126,6 +125,10 @@ class ExperimentConfig:
 
 _CELL_KEYS = {"id", "model", "n", "k", "m", "y", "t", "c_y", "c_t"}
 _TOP_KEYS = {"master_seed", "draws", "evolution", "cells", "output"}
+# "steps" stays for configs written when a positive count chose fixed-step
+# RK4, since removed; only 0 is accepted
+_EVOLUTION_KEYS = {"method", "steps"}
+_OUTPUT_KEYS = {"results_csv", "stats_json", "manifest_json"}
 
 
 def _integer(value, what: str) -> int:
@@ -138,25 +141,23 @@ def _integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, keys) -> dict:
+    """value when it is a JSON object with no key outside ``keys``."""
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be a JSON object, got {value!r}")
+    unknown = set(value) - keys
+    if unknown:
+        raise ValidationError(f"unknown keys in {what}: {sorted(unknown)}")
     return value
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    _object(doc, "config")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    _object(doc, "config", _TOP_KEYS)
     if not isinstance(doc.get("cells"), list) or not doc["cells"]:
         raise ValidationError("config needs a nonempty 'cells' list")
     cells = []
     for i, cd in enumerate(doc["cells"]):
-        _object(cd, f"cell {i}")
-        bad = set(cd) - _CELL_KEYS
-        if bad:
-            raise ValidationError(f"unknown cell keys: {sorted(bad)}")
+        _object(cd, f"cell {i}", _CELL_KEYS)
         missing = [key for key in ("model", "n", "k") if key not in cd]
         if missing:
             raise ValidationError(f"cell {i} needs {missing}")
@@ -173,14 +174,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
         cell.ensemble(0)  # validate ensemble parameters eagerly
         cells.append(cell)
-    evo = _object(doc.get("evolution", {}), "evolution")
-    out = _object(doc.get("output", {}), "output")
+    evo = _object(doc.get("evolution", {}), "evolution", _EVOLUTION_KEYS)
+    if _integer(evo.get("steps", 0), "steps") != 0:
+        raise ValidationError("steps must be 0: fixed-step RK4 was removed; every run takes the exact action")
+    out = _object(doc.get("output", {}), "output", _OUTPUT_KEYS)
+    for key, path in out.items():
+        if not isinstance(path, str):
+            raise ValidationError(f"output {key} must be a path string, got {path!r}")
     return ExperimentConfig(
         cells=tuple(cells),
         draws=_integer(doc.get("draws", 1), "draws"),
         master_seed=_integer(doc.get("master_seed", 0), "master_seed"),
         method=evo.get("method", "rk4"),
-        steps=_integer(evo.get("steps", 0), "steps"),
         results_csv=out.get("results_csv"),
         stats_json=out.get("stats_json"),
         manifest_json=out.get("manifest_json"),
@@ -229,7 +234,7 @@ def run_draw(config: ExperimentConfig, cell: CellSpec, draw: int) -> RunResult:
     try:
         instance = sample(cell.ensemble(seed))
         y, t = schedule(instance, y=cell.y, t=cell.t, c_y=cell.c_y, c_t=cell.c_t)
-        report = evolve_report(instance, y, EvolutionConfig(t_final=t, steps=config.steps, method=config.method))
+        report = evolve_report(instance, y, EvolutionConfig(t_final=t, method=config.method))
         values = [report.achieved, report.t1_prediction, report.lambda_max, report.ratio]
         if not all(math.isfinite(v) for v in values):
             return _failed_result(cell, draw, seed, "nonfinite")

@@ -161,7 +161,9 @@ class LindbladianRep:
 
     @_cached
     def norm_bound(self) -> float:
-        """sum_a 2 ||K^a||^2, the step guard's generator norm bound; no stack is held."""
+        """sum_a 2 ||K^a||^2, a bound on the generator's operator norm; no stack
+        is held.  No package code reads it: the benchmark's traced-``evolve``
+        observer (``perfbench/layers.py::_observe_evolve``) is its only reader."""
         check_dense_budget("generator norm bound", self.dim, 1 + _JUMP_TEMPORARIES)
         bound = 0.0
         for k in self._jumps():
@@ -212,14 +214,6 @@ def apply_generator(rep: LindbladianRep, rho: np.ndarray) -> np.ndarray:
     _check_dim(rep, rho)
     out = (rep.k_stack @ rho @ rep.k_stack_dag).sum(axis=0)
     out -= 0.5 * (rep.kdagk_sum @ rho + rho @ rep.kdagk_sum)
-    return out
-
-
-def apply_generator_adjoint(rep: LindbladianRep, obs: np.ndarray) -> np.ndarray:
-    """Heisenberg picture: Ldag(O) = sum_a Kdag O K - (1/2){Kdag K, O}."""
-    _check_dim(rep, obs)
-    out = (rep.k_stack_dag @ obs @ rep.k_stack).sum(axis=0)
-    out -= 0.5 * (rep.kdagk_sum @ obs + obs @ rep.kdagk_sum)
     return out
 
 

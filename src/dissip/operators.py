@@ -28,7 +28,6 @@ kron factor (most significant bit of the basis index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -37,13 +36,6 @@ from .densemat import check_dense_budget
 from .errors import DimensionMismatchError, ValidationError
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**e for e = 0,1,2,3
-
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -374,11 +366,6 @@ def from_pauli_coefficients(coeffs: np.ndarray) -> np.ndarray:
     # M[c ^ x, c] = (1/N) sum_z (-1)^{c.z} i^{|x & z|} r[x, z]
     shifted = _walsh_hadamard(_string_phases(dim) * coeffs.reshape(dim, dim)) / dim
     return shifted[idx[:, None] ^ idx[None, :], idx[None, :]]
-
-
-def kron_chain(letters) -> np.ndarray:
-    """Explicit kron product of single-qubit letters; independent oracle for tests."""
-    return reduce(np.kron, (PAULI_1Q[c] for c in letters))
 
 
 def encode_op(term: Term) -> str:

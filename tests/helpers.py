@@ -1,9 +1,19 @@
-"""Shared builders for the test suite."""
+"""Shared builders and independent dense oracles for the test suite."""
 
-import math
+from functools import reduce
+
+import numpy as np
 
 from dissip.ensembles import EnsembleSpec, HamiltonianTerm, make_instance, sample
+from dissip.lindblad import _check_dim
 from dissip.operators import PauliString
+
+PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def draw(model, n, k, m=None, seed=0):
@@ -16,7 +26,22 @@ def single_z_instance():
     return make_instance("sparse_pauli", 1, 1, [term], 0, h_glo=1.0)
 
 
-def rk4_reference_steps(rep, t):
-    """max(8, ceil(norm_bound t / 0.05)): RK4 steps with dt a factor two below
-    the step guard, the count the RK4 tests against the oracles run at."""
-    return max(8, math.ceil(rep.norm_bound * t / 0.05))
+def kron_chain(letters) -> np.ndarray:
+    """Explicit kron product of single-qubit letters."""
+    return reduce(np.kron, (PAULI_1Q[c] for c in letters))
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random density matrix (Wishart normalized to unit trace)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+def apply_generator_adjoint(rep, obs: np.ndarray) -> np.ndarray:
+    """Heisenberg picture on the dense jump stacks: Ldag(O) = sum_a Kdag O K
+    - (1/2){Kdag K, O}, the oracle of the transposed transfer matrix."""
+    _check_dim(rep, obs)
+    out = (rep.k_stack_dag @ obs @ rep.k_stack).sum(axis=0)
+    out -= 0.5 * (rep.kdagk_sum @ obs + obs @ rep.kdagk_sum)
+    return out

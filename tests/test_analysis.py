@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import draw, single_z_instance
+from helpers import draw, random_density, single_z_instance
 
 from dissip.analysis import (
     BoundCheckReport,
@@ -29,7 +29,6 @@ from dissip.analysis import (
     spectral_tail_bound,
     t1_identity_error,
 )
-from dissip.densemat import random_density
 from dissip.ensembles import EnsembleSpec, instance_to_dense, sample, with_signs
 from dissip.errors import EnumerationBudgetError, ValidationError
 from dissip.evolution import EvolutionConfig, evolve, heisenberg_evolve, maximally_mixed

@@ -98,17 +98,8 @@ def test_evolve_default_schedule_positive_energy(capsys, tmp_path):
     assert float(rows[-1]["trace_error"]) <= 1e-9
 
 
-def test_evolve_step_guard_exit_2_with_suggestion(capsys):
-    code, _, err = run_cli(
-        capsys, "evolve", "--model", "sparse_pauli", "--n", "3", "--k", "2", "--m", "4",
-        "--seed", "1", "--t", "2.0", "--y", "-0.5", "--steps", "1",
-    )
-    assert code == 2
-    assert "suggested steps" in err
-
-
 def test_refinement_error_without_step_count_prints_no_suggestion(capsys, monkeypatch):
-    # the default path has no step count to suggest
+    # a drift exits 2 with the error's message alone
     def drift(*args, **kwargs):
         raise dissip.RefinementError("positivity drift: min eigenvalue -1.000e-05 at step 0")
 
@@ -214,7 +205,7 @@ def test_sweep_deterministic_modulo_wall_time(capsys, tmp_path):
     "section, key, value, message",
     [
         ("evolution", "method", "rk5", "unknown method"),
-        ("evolution", "steps", -1, "steps must be nonnegative"),
+        ("evolution", "steps", 1, "fixed-step RK4 was removed"),
         ("cell", "c_t", -1, "schedule constants must be positive"),
         ("cell", "t", -0.5, "evolution time must be nonnegative"),
     ],
@@ -245,9 +236,15 @@ def test_sweep_config_error_exits_2_before_any_draw(capsys, tmp_path, section, k
         (lambda doc: doc["cells"][0].update(n=2.7), "n must be an integer"),
         (lambda doc: doc.update(draws=1.9), "draws must be an integer"),
         (lambda doc: doc["cells"][0].update(m=True), "m must be an integer"),
+        (lambda doc: doc.update(evolution={"method": "rk4", "step": 0}), "unknown keys in evolution"),
+        (lambda doc: doc["output"].update(result_csv=doc["output"].pop("results_csv")),
+         "unknown keys in output"),
+        (lambda doc: doc["output"].update(results_csv=True), "results_csv must be a path string"),
+        (lambda doc: doc["output"].update(stats_json=3), "stats_json must be a path string"),
     ],
     ids=["missing-model", "n-text", "m-list", "draws-text", "seed-null", "steps-text", "cell-number",
-         "n-fraction", "draws-fraction", "m-bool"],
+         "n-fraction", "draws-fraction", "m-bool", "evolution-key", "output-key", "output-bool",
+         "output-number"],
 )
 def test_sweep_malformed_config_exits_2(capsys, tmp_path, edit, message):
     path, doc = sweep_config(tmp_path)

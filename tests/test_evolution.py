@@ -1,4 +1,4 @@
-"""Channel properties: the default path and RK4 vs the exact exponential, duality,
+"""Channel properties: the default path vs the exact exponential, duality,
 contraction, Choi."""
 
 import math
@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import draw, rk4_reference_steps, single_z_instance
+from helpers import draw, single_z_instance
 
 import dissip.evolution
 from dissip.analysis import schedule
@@ -25,7 +25,6 @@ from dissip.evolution import (
     heisenberg_evolve,
     maximally_mixed,
     propagator,
-    required_steps,
     validate_density_matrix,
     vectorized_generator,
     _taylor_parameters,
@@ -76,16 +75,6 @@ def test_single_qubit_energy_matches_expm_oracle():
 # ---------------------------------------------------------------------------
 # integrator vs exponential oracle
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(4))
-def test_rk4_matches_expm(seed):
-    rep = rep_for("sparse_pauli", 3, 2, 5, seed, -0.15)
-    mu = maximally_mixed(3)
-    cfg = EvolutionConfig(t_final=0.4, steps=rk4_reference_steps(rep, 0.4))
-    a = evolve(rep, mu, cfg)
-    b = evolve(rep, mu, EvolutionConfig(t_final=0.4, method="expm"))
-    assert np.abs(a - b).max() < 1e-7
-
 
 # every model, at N <= 32 so that the oracle's N^2 x N^2 exponential stays small
 DEFAULT_PATH_CASES = [
@@ -233,19 +222,6 @@ def test_taylor_parameters_fewest_products():
     assert _taylor_parameters(0.0) == (0, 1)
 
 
-def test_rk4_fourth_order_convergence():
-    rep = rep_for("sparse_pauli", 2, 2, 4, 7, -0.2)
-    mu = maximally_mixed(2)
-    exact = evolve(rep, mu, EvolutionConfig(t_final=0.5, method="expm"))
-    coarse = evolve(rep, mu, EvolutionConfig(t_final=0.5, steps=max(8, required_steps(rep, 0.5))))
-    fine = evolve(
-        rep, mu, EvolutionConfig(t_final=0.5, steps=2 * max(8, required_steps(rep, 0.5)))
-    )
-    err_coarse = np.abs(coarse - exact).max()
-    err_fine = np.abs(fine - exact).max()
-    assert 8 <= err_coarse / err_fine <= 32
-
-
 def test_trajectory_recording_and_trace_preservation():
     rep = rep_for("sparse_fermion", 6, 2, 4, 3, -0.1)
     rows = []
@@ -256,13 +232,6 @@ def test_trajectory_recording_and_trace_preservation():
         assert row["trace_error"] <= 1e-9
         assert row["min_eig"] >= -1e-7
     assert set(rows[0]) == {"step", "time", "energy", "trace_error", "min_eig"}
-
-
-def test_step_guard_raises_with_suggestion():
-    rep = rep_for("sparse_pauli", 2, 2, 4, 1, -0.3)
-    with pytest.raises(RefinementError) as err:
-        evolve(rep, maximally_mixed(2), EvolutionConfig(t_final=2.0, steps=2))
-    assert err.value.suggested_steps == required_steps(rep, 2.0)
 
 
 @pytest.mark.parametrize("t_final", [float("nan"), float("inf"), -0.1])
@@ -315,10 +284,10 @@ def test_schroedinger_heisenberg_duality():
     assert abs(schroedinger - heisenberg) < 1e-8
 
 
-def test_heisenberg_rk4_is_rejected():
+def test_heisenberg_default_method_is_rejected():
     rep = rep_for("sparse_pauli", 2, 2, 3, 5, -0.2)
-    with pytest.raises(ValidationError):
-        heisenberg_evolve(rep, np.eye(4, dtype=complex), EvolutionConfig(t_final=0.4, method="rk4"))
+    with pytest.raises(ValidationError, match="expm-only"):
+        heisenberg_evolve(rep, np.eye(4, dtype=complex), EvolutionConfig(t_final=0.4))
 
 
 @pytest.mark.parametrize("t", [0.05, 0.2])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import dissip.densemat
 from dissip.ensembles import derive_seed
 from dissip.errors import ValidationError
 from dissip.experiment import (
@@ -13,6 +14,7 @@ from dissip.experiment import (
     ExperimentConfig,
     VerifyConfig,
     aggregate,
+    config_from_dict,
     config_from_json,
     run_cell,
     run_draw,
@@ -103,13 +105,13 @@ def test_small_sweep_regression_fixture():
     assert stats[0].mean_energy == pytest.approx(0.2581502365845922, abs=1e-6)
 
 
-def test_failed_draw_is_recorded_not_raised():
-    # m over the enumeration-free dense budget is fine; force failure through
-    # an impossible explicit step count instead
-    cell = dataclasses.replace(CELL, cell_id="bad", y=-0.5, t=5.0)
-    config = ExperimentConfig(cells=(cell,), draws=2, master_seed=0, steps=1)
+def test_failed_draw_is_recorded_not_raised(monkeypatch):
+    # a byte budget no generator fits in fails every draw
+    monkeypatch.setattr(dissip.densemat, "MEMORY_BUDGET_BYTES", 1024)
+    cell = dataclasses.replace(CELL, cell_id="bad")
+    config = ExperimentConfig(cells=(cell,), draws=2, master_seed=0)
     results = run_cell(config, cell)
-    assert all(r.status.startswith("RefinementError") for r in results)
+    assert all(r.status.startswith("CapacityError") for r in results)
     assert all(math.isnan(r.energy) for r in results)
     stats = aggregate(results)
     assert stats.cell_failed and stats.draws_ok == 0
@@ -196,6 +198,21 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="run_bound_checks"):
         config_from_json('{"cells": [{"id": "a", "model": "sparse_pauli", "n": 2, "k": 1, "m": 1}], '
                          '"run_bound_checks": false}')
+
+
+def test_config_accepts_the_benchmark_sweep_shape():
+    # perfbench/workloads.py::SweepC08 writes this config; its evolution
+    # object keeps the steps key of the removed fixed-step integrator
+    doc = {
+        "master_seed": 3,
+        "draws": 4,
+        "evolution": {"method": "rk4", "steps": 0},
+        "cells": [{"id": "spin", "model": "sparse_pauli", "n": 6, "k": 2, "m": 12}],
+        "output": {"results_csv": "r.csv", "stats_json": "s.json", "manifest_json": "m.json"},
+    }
+    config = config_from_dict(doc)
+    assert config.method == "rk4"
+    assert config.to_dict()["evolution"] == {"method": "rk4"}
 
 
 def test_config_validates_cells_eagerly():

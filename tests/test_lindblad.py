@@ -9,13 +9,12 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import draw, single_z_instance
+from helpers import apply_generator_adjoint, draw, random_density, single_z_instance
 
-from dissip.densemat import random_density, random_hermitian
+from dissip.densemat import random_hermitian
 from dissip.errors import DimensionMismatchError
 from dissip.lindblad import (
     apply_generator,
-    apply_generator_adjoint,
     build_jump_set,
     build_lindbladian,
     condition2_max_residual,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import kron_chain
 
 from dissip.ensembles import EnsembleSpec, instance_to_dense, sample
 from dissip.errors import CapacityError, DimensionMismatchError, ValidationError
@@ -20,7 +21,6 @@ from dissip.operators import (
     decode_op,
     encode_op,
     jordan_wigner,
-    kron_chain,
     majorana_commutes,
     majorana_to_pauli,
     pauli_commutes,

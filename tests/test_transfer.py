@@ -11,19 +11,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import draw, rk4_reference_steps, single_z_instance
+from helpers import apply_generator_adjoint, draw, random_density, single_z_instance
 
 import dissip.densemat
 import dissip.evolution
 import dissip.lindblad
 from dissip.analysis import schedule
-from dissip.densemat import random_density, random_hermitian
+from dissip.densemat import random_hermitian
 from dissip.errors import CapacityError, ValidationError
-from dissip.evolution import EvolutionConfig, evolve, maximally_mixed
+from dissip.evolution import CHECKPOINTS, EvolutionConfig, evolve, maximally_mixed
 from dissip.lindblad import (
     LindbladianRep,
     apply_generator,
-    apply_generator_adjoint,
     build_lindbladian,
     transfer_matrix,
 )
@@ -99,38 +98,24 @@ def test_transfer_identity_row_vanishes():
         assert np.abs(row).max(initial=0.0) <= 1e-15
 
 
-def dense_rk4_energies(rep, t, steps, at_steps):
-    """Energies Tr(rho H) of a plain RK4 over apply_generator at the given steps."""
-    rho = maximally_mixed(rep.instance.qubits)
-    dt = t / steps
-    energies = {0: float(np.trace(rho @ rep.h_dense).real)}
-    for step in range(1, steps + 1):
-        k1 = apply_generator(rep, rho)
-        k2 = apply_generator(rep, rho + 0.5 * dt * k1)
-        k3 = apply_generator(rep, rho + 0.5 * dt * k2)
-        k4 = apply_generator(rep, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step in at_steps:
-            energies[step] = float(np.trace(rho @ rep.h_dense).real)
-    return energies
-
-
 @pytest.mark.parametrize("model, n, k, m", C08_CELLS)
-def test_c08_cells_evolve_like_dense_rk4(model, n, k, m):
+def test_c08_cells_evolve_like_the_dense_jump_stacks(monkeypatch, model, n, k, m):
+    # the default path on T against the same path on the dense jump stacks,
+    # the vector form of the Gaussian models
     inst = draw(model, n, k, m=m, seed=3)
     sched = schedule(inst)
     rep = build_lindbladian(inst, sched.y)
-    rows = []
-    steps = rk4_reference_steps(rep, sched.t)
-    evolve(rep, maximally_mixed(inst.qubits), EvolutionConfig(t_final=sched.t, steps=steps), trajectory=rows)
-    assert rows[-1]["step"] == steps
-    every = max(1, steps // 8)
-    expected_steps = [0] + [s for s in range(1, steps + 1) if s % every == 0 or s == steps]
-    assert [row["step"] for row in rows] == expected_steps
-    assert [row["time"] for row in rows] == [s * (sched.t / steps) for s in expected_steps]
-    dense = dense_rk4_energies(rep, sched.t, steps, set(expected_steps))
-    for row in rows:
-        assert abs(row["energy"] - dense[row["step"]]) < 1e-12
+    mu = maximally_mixed(inst.qubits)
+    cfg = EvolutionConfig(t_final=sched.t)
+    on_transfer, on_stacks = [], []
+    rho_transfer = evolve(rep, mu, cfg, trajectory=on_transfer)
+    monkeypatch.setattr(dissip.evolution, "SAMPLED_MODELS", ())
+    rho_stacks = evolve(rep, mu, cfg, trajectory=on_stacks)
+    assert len(on_transfer) == len(on_stacks) == CHECKPOINTS + 1
+    assert [row["time"] for row in on_transfer] == [row["time"] for row in on_stacks]
+    for row, oracle in zip(on_transfer, on_stacks):
+        assert abs(row["energy"] - oracle["energy"]) < 1e-12
+    assert np.abs(rho_transfer - rho_stacks).max() < 1e-12
 
 
 @pytest.fixture
