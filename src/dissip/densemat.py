@@ -51,6 +51,14 @@ def spectral_norm(mat: np.ndarray, hermitian: bool = False) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def random_hermitian_stack(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim, dim) random Hermitian matrices (G + G^dag) / 2, G with
+    standard normal real and imaginary parts, drawn real part first."""
+    parts = rng.normal(size=(count, 2, dim, dim))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
+    """One draw of :func:`random_hermitian_stack`."""
+    return random_hermitian_stack(dim, 1, rng)[0]

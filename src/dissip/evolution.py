@@ -150,16 +150,18 @@ def _vector_form(rep: LindbladianRep, rho0: np.ndarray) -> _VectorForm:
     )
 
 
-# nonzeros read at a time for the 1-norm, so no copy of a large T is held
+# nonzeros read at a time for the 1-norm, at least one per column: each chunk
+# costs one length-(columns) bincount, and no copy of a large T is held
 _NORM_CHUNK = 1 << 14
 
 
 def _shifted_csr_norm(matrix, diagonal: np.ndarray, shift: float) -> float:
     """||matrix - shift I||_1, the largest absolute column sum."""
     sums = np.zeros(matrix.shape[1])
-    for lo in range(0, matrix.nnz, _NORM_CHUNK):
-        sums += np.bincount(matrix.indices[lo:lo + _NORM_CHUNK], minlength=matrix.shape[1],
-                            weights=np.abs(matrix.data[lo:lo + _NORM_CHUNK]))
+    chunk = max(_NORM_CHUNK, matrix.shape[1])
+    for lo in range(0, matrix.nnz, chunk):
+        sums += np.bincount(matrix.indices[lo:lo + chunk], minlength=matrix.shape[1],
+                            weights=np.abs(matrix.data[lo:lo + chunk]))
     return float((sums - np.abs(diagonal) + np.abs(diagonal - shift)).max())
 
 
@@ -239,27 +241,15 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
 
     ``trajectory``, if given, is a list collecting checkpoint rows
     (step, time, energy, trace_error, min_eig), from step 0 at time 0; the
-    step is the checkpoint index, at time step * t / CHECKPOINTS.
+    step is the checkpoint index, at time step * t / CHECKPOINTS.  At t = 0
+    it gets step 0 alone, and with ``method="expm"`` steps 0 and CHECKPOINTS,
+    since the propagator gives no intermediate states.
     """
     if rho0.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(f"state shape {rho0.shape} vs generator dimension {rep.dim}")
     t = cfg.t_final
-    if t == 0.0:
-        validate_density_matrix(rho0)
-        return rho0.copy()
-    if cfg.method == "expm":
-        rho = unvec(propagator(rep, t) @ vec(rho0), rep.dim)
-        validate_density_matrix(rho)
-        return rho
 
-    # the operator comes first, so its byte checks run before the O(N^3)
-    # checkpoint spectra
-    form = _vector_form(rep, rho0)
-
-    def record(step, time, rho):
-        diag = density_matrix_diagnostics(rho)
-        if diag["min_eig"] < DRIFT_EIG_FLOOR:
-            raise RefinementError(f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}")
+    def record(step, time, rho, diag):
         if trajectory is not None:
             energy = float(np.trace(rho @ rep.h_dense).real)
             trajectory.append(
@@ -271,15 +261,36 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
                     "min_eig": diag["min_eig"],
                 }
             )
+
+    if t == 0.0:
+        record(0, 0.0, rho0, validate_density_matrix(rho0))
+        return rho0.copy()
+    if cfg.method == "expm":
+        rho = unvec(propagator(rep, t) @ vec(rho0), rep.dim)
+        diag = validate_density_matrix(rho)
+        if trajectory is not None:
+            record(0, 0.0, rho0, density_matrix_diagnostics(rho0))
+            record(CHECKPOINTS, t, rho, diag)
+        return rho
+
+    # the operator comes first, so its byte checks run before the O(N^3)
+    # checkpoint spectra
+    form = _vector_form(rep, rho0)
+
+    def checkpoint(step, time, rho):
+        diag = density_matrix_diagnostics(rho)
+        if diag["min_eig"] < DRIFT_EIG_FLOOR:
+            raise RefinementError(f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}")
+        record(step, time, rho, diag)
         return diag
 
-    record(0, 0.0, rho0)
+    checkpoint(0, 0.0, rho0)
     for step, time, state in _exact_states(form, t, trajectory is not None):
         trace_err = abs(form.trace(state) - 1.0)
         if trace_err > DRIFT_TRACE_TOL:
             raise RefinementError(f"trace drift {trace_err:.3e} beyond {DRIFT_TRACE_TOL} at step {step}")
         rho = form.dense(state)
-        diag = record(step, time, rho)
+        diag = checkpoint(step, time, rho)
     _check_density(diag)  # the last checkpoint's diagnostics are those of rho
     return rho
 

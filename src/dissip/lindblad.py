@@ -25,8 +25,9 @@ b_ag ([A^a, H_g] = 2 b_ag A^a H_g) the pieces reduce to
     M = sum_{a: b_ag = b_ag' = 1} A O A,   c = sum_a b_ag b_ag',
 
 where U_g is the unit-square canonical term (H_g = h_g U_g).  The pieces act
-on dense matrices; the verify checks probe their norms against closed-form
-bounds.
+on dense matrices or on (..., N, N) stacks of them, slice by slice; the verify
+checks probe their norms against closed-form bounds, a whole stack of probes
+per piece.
 
 The same structure gives the generator on Pauli coefficient vectors (see
 :func:`dissip.operators.pauli_coefficients`).  Each K^a = A^a (I + 2y H_a),
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import check_budget, check_dense_budget, random_hermitian, spectral_norm
+from .densemat import check_budget, check_dense_budget, random_hermitian_stack, spectral_norm
 from .ensembles import HamiltonianInstance, instance_to_dense
 from .errors import DimensionMismatchError
 from .operators import (
@@ -202,8 +203,10 @@ def build_lindbladian(instance: HamiltonianInstance, y: float) -> LindbladianRep
     return LindbladianRep(instance=instance, y=y)
 
 
-def _check_dim(rep: LindbladianRep, mat: np.ndarray):
-    if mat.shape != (rep.dim, rep.dim):
+def _check_dim(rep: LindbladianRep, mat: np.ndarray, stacked: bool = False):
+    """An N x N operator, or with ``stacked`` a (..., N, N) stack of them."""
+    shape = mat.shape[-2:] if stacked else mat.shape
+    if shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(
             f"operator shape {mat.shape} does not match generator dimension {rep.dim}"
         )
@@ -377,8 +380,9 @@ def _conjugated_sum(rep, obs, active) -> np.ndarray:
 
 
 def zero_piece_adjoint(rep: LindbladianRep, obs: np.ndarray) -> np.ndarray:
-    """L0dag(O), including the absorbed g = g' diagonal."""
-    _check_dim(rep, obs)
+    """L0dag(O), including the absorbed g = g' diagonal; like the other pieces
+    it maps a (..., N, N) stack slice by slice."""
+    _check_dim(rep, obs, stacked=True)
     y2 = rep.y * rep.y
     n_jumps = len(rep.base_denses)
     out = _conjugated_sum(rep, obs, range(n_jumps)) - n_jumps * obs
@@ -395,7 +399,7 @@ def zero_piece_adjoint(rep: LindbladianRep, obs: np.ndarray) -> np.ndarray:
 
 def single_piece_adjoint(rep: LindbladianRep, g: int, obs: np.ndarray) -> np.ndarray:
     """Lgdag(O), the coefficient of s_g."""
-    _check_dim(rep, obs)
+    _check_dim(rep, obs, stacked=True)
     active = np.flatnonzero(rep.b_table[:, g])
     if active.size == 0:
         return np.zeros_like(obs)
@@ -408,7 +412,7 @@ def single_piece_adjoint(rep: LindbladianRep, g: int, obs: np.ndarray) -> np.nda
 
 def cross_piece_adjoint(rep: LindbladianRep, g1: int, g2: int, obs: np.ndarray) -> np.ndarray:
     """Lgg'dag(O) for g != g', symmetrized over the ordered pair."""
-    _check_dim(rep, obs)
+    _check_dim(rep, obs, stacked=True)
     if g1 == g2:
         raise ValueError("cross pieces are defined for distinct terms")
     both = np.flatnonzero(rep.b_table[:, g1] & rep.b_table[:, g2])
@@ -454,19 +458,22 @@ def cross_piece_norm_bound(rep: LindbladianRep, g1: int, g2: int) -> float:
 def sampled_superop_norm(apply_fn, dim: int, samples: int, rng: np.random.Generator) -> float:
     """Lower bound on the operator-norm-induced norm of a superoperator.
 
-    Maximizes ||F(O)|| / ||O|| over random Hermitian probes.  A sampled
+    Maximizes ||F(O)|| / ||O|| over ``samples`` random Hermitian probes.
+    They are drawn as one (samples, N, N) stack, the same draws as
+    ``samples`` calls of :func:`~dissip.densemat.random_hermitian`, and
+    ``apply_fn`` receives the whole stack (less any zero probe) and returns
+    the stack of images.  A sampled
     maximum can only undershoot the true induced norm, so comparing it
     one-sidedly against an upper bound is sound.
     """
-    best = 0.0
-    for _ in range(samples):
-        probe = random_hermitian(dim, rng)
-        denom = spectral_norm(probe, hermitian=True)
-        if denom == 0.0:
-            continue
-        image = apply_fn(probe)
-        best = max(best, spectral_norm(image) / denom)
-    return best
+    probes = random_hermitian_stack(dim, samples, rng)
+    denoms = np.abs(np.linalg.eigvalsh(probes)).max(axis=-1)
+    nonzero = denoms != 0.0
+    if not nonzero.any():
+        return 0.0
+    images = apply_fn(probes[nonzero])
+    norms = np.linalg.svd(images, compute_uv=False).max(axis=-1)
+    return float((norms / denoms[nonzero]).max())
 
 
 def piece_norm_margins(rep: LindbladianRep, probes: int, rng: np.random.Generator) -> tuple[float, float]:

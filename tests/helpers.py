@@ -4,6 +4,7 @@ from functools import reduce
 
 import numpy as np
 
+from dissip.densemat import random_hermitian, spectral_norm
 from dissip.ensembles import EnsembleSpec, HamiltonianTerm, make_instance, sample
 from dissip.lindblad import _check_dim
 from dissip.operators import PauliString
@@ -45,3 +46,17 @@ def apply_generator_adjoint(rep, obs: np.ndarray) -> np.ndarray:
     out = (rep.k_stack_dag @ obs @ rep.k_stack).sum(axis=0)
     out -= 0.5 * (rep.kdagk_sum @ obs + obs @ rep.kdagk_sum)
     return out
+
+
+def sampled_superop_norm_per_probe(apply_fn, dim: int, samples: int, rng: np.random.Generator) -> float:
+    """The probe-at-a-time oracle of lindblad.sampled_superop_norm: one
+    Hermitian draw, eigvalsh, application and SVD per probe."""
+    best = 0.0
+    for _ in range(samples):
+        probe = random_hermitian(dim, rng)
+        denom = spectral_norm(probe, hermitian=True)
+        if denom == 0.0:
+            continue
+        image = apply_fn(probe)
+        best = max(best, spectral_norm(image) / denom)
+    return best

@@ -98,6 +98,30 @@ def test_evolve_default_schedule_positive_energy(capsys, tmp_path):
     assert float(rows[-1]["trace_error"]) <= 1e-9
 
 
+def test_evolve_expm_trajectory_has_first_and_last_rows(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    code, out, _ = run_cli(
+        capsys, "evolve", "--model", "sparse_pauli", "--n", "3", "--k", "2", "--m", "4",
+        "--method", "expm", "--trajectory", str(traj),
+    )
+    assert code == 0
+    rows = list(csv.DictReader(traj.open()))
+    assert [row["step"] for row in rows] == ["0", "8"]
+    assert float(rows[-1]["energy"]) == json.loads(out)["achieved"]
+
+
+def test_evolve_zero_time_trajectory_has_one_row(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    code, out, _ = run_cli(
+        capsys, "evolve", "--model", "sparse_pauli", "--n", "3", "--k", "2", "--m", "4",
+        "--t", "0", "--trajectory", str(traj),
+    )
+    assert code == 0
+    rows = list(csv.DictReader(traj.open()))
+    assert [(row["step"], row["time"]) for row in rows] == [("0", "0.0")]
+    assert float(rows[0]["energy"]) == json.loads(out)["achieved"]
+
+
 def test_refinement_error_without_step_count_prints_no_suggestion(capsys, monkeypatch):
     # a drift exits 2 with the error's message alone
     def drift(*args, **kwargs):

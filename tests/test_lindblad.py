@@ -9,10 +9,17 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import apply_generator_adjoint, draw, random_density, single_z_instance
+from helpers import (
+    apply_generator_adjoint,
+    draw,
+    random_density,
+    sampled_superop_norm_per_probe,
+    single_z_instance,
+)
 
-from dissip.densemat import random_hermitian
+from dissip.densemat import random_hermitian, random_hermitian_stack
 from dissip.errors import DimensionMismatchError
+from dissip.experiment import _VERIFY_MODELS
 from dissip.lindblad import (
     apply_generator,
     build_jump_set,
@@ -281,6 +288,69 @@ def test_cross_piece_symmetric_in_arguments():
     assert np.abs(
         cross_piece_adjoint(rep, 0, 2, obs) - cross_piece_adjoint(rep, 2, 0, obs)
     ).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# stacks of probes
+# ---------------------------------------------------------------------------
+
+def verify_rep(model, n, k, m):
+    return build_lindbladian(draw(model, n, k, m=m, seed=21), y=-0.2)
+
+
+def every_piece(rep):
+    """(name, piece) for the zero piece, every single and every cross piece."""
+    terms = range(len(rep.instance.terms))
+    yield "zero", lambda o: zero_piece_adjoint(rep, o)
+    for g in terms:
+        yield f"single {g}", lambda o, g=g: single_piece_adjoint(rep, g, o)
+    for g1, g2 in itertools.combinations(terms, 2):
+        yield f"cross {g1} {g2}", lambda o, g1=g1, g2=g2: cross_piece_adjoint(rep, g1, g2, o)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_hermitian_stack_is_consecutive_draws(dim):
+    stacked_rng, single_rng = np.random.default_rng(4), np.random.default_rng(4)
+    stack = random_hermitian_stack(dim, 5, stacked_rng)
+    singles = np.array([random_hermitian(dim, single_rng) for _ in range(5)])
+    assert stack.shape == (5, dim, dim)
+    assert stack.tobytes() == singles.tobytes()
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("model,n,k,m", _VERIFY_MODELS)
+def test_piece_adjoints_map_a_stack_slice_by_slice(model, n, k, m):
+    rep = verify_rep(model, n, k, m)
+    stack = random_hermitian_stack(rep.dim, 3, np.random.default_rng(8))
+    for name, piece in every_piece(rep):
+        per_slice = np.array([piece(obs) for obs in stack])
+        assert piece(stack).tobytes() == per_slice.tobytes(), name
+
+
+def test_stack_with_wrong_trailing_shape_rejected():
+    rep = build_lindbladian(draw("sparse_pauli", 2, 2, m=2), y=0.1)
+    for bad in (np.zeros((3, 4, 8)), np.zeros((3, 2, 2)), np.zeros(4)):
+        for piece in (lambda o: zero_piece_adjoint(rep, o), lambda o: single_piece_adjoint(rep, 0, o),
+                      lambda o: cross_piece_adjoint(rep, 0, 1, o)):
+            with pytest.raises(DimensionMismatchError):
+                piece(bad)
+    with pytest.raises(DimensionMismatchError):
+        apply_generator(rep, np.zeros((2, 4, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("model,n,k,m", _VERIFY_MODELS)
+def test_sampled_norm_equals_per_probe_oracle(model, n, k, m):
+    rep = verify_rep(model, n, k, m)
+    stacked_rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for name, piece in every_piece(rep):
+        stacked = sampled_superop_norm(piece, rep.dim, 7, stacked_rng)
+        assert stacked == sampled_superop_norm_per_probe(piece, rep.dim, 7, oracle_rng), name
+        assert stacked_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_sampled_norm_of_no_probes_is_zero():
+    rng = np.random.default_rng(0)
+    assert sampled_superop_norm(lambda o: o, 4, 0, rng) == 0.0
 
 
 # ---------------------------------------------------------------------------
