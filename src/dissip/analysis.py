@@ -36,21 +36,11 @@ from .ensembles import (
     sample_strength_stats,
     with_signs,
 )
-from .errors import DimensionMismatchError, EnumerationBudgetError, ValidationError
-from .evolution import EvolutionConfig, evolve, maximally_mixed
+from .errors import EnumerationBudgetError, ValidationError
+from .evolution import EvolutionConfig, energy, evolve, maximally_mixed
 from .lindblad import LindbladianRep, build_lindbladian, single_piece_adjoint
 
 ENUMERATION_BUDGET = 20  # enumerate mode allows at most 2^20 sign patterns
-
-
-def energy(rho: np.ndarray, h_dense: np.ndarray) -> float:
-    """Tr[rho H], checked to be real to 1e-10."""
-    if rho.shape != h_dense.shape:
-        raise DimensionMismatchError(f"state {rho.shape} vs observable {h_dense.shape}")
-    val = complex(np.trace(rho @ h_dense))
-    if abs(val.imag) > 1e-10:
-        raise ValidationError(f"energy has imaginary part {val.imag:.3e}")
-    return val.real
 
 
 def max_eigenvalue(h_dense: np.ndarray) -> float:

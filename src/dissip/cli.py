@@ -26,7 +26,7 @@ from .ensembles import (
     sample,
 )
 from .errors import DissipError, ValidationError
-from .evolution import EvolutionConfig
+from .evolution import METHODS, EvolutionConfig
 from .experiment import (
     VerifyConfig,
     config_from_json,
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--c-y", dest="c_y", type=float, default=None)
     p.add_argument("--c-t", dest="c_t", type=float, default=None)
-    p.add_argument("--method", choices=["rk4", "expm"], default="rk4",
+    p.add_argument("--method", choices=METHODS, default="rk4",
                    help="rk4 (default): the exact action of e^(Lt); expm: the dense propagator, N <= 64")
     p.add_argument("--trajectory", default=None, help="CSV path for checkpoint rows")
     p.add_argument("--out", default=None)

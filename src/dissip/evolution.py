@@ -10,10 +10,13 @@ method of Al-Mohy and Higham (2011), with its degree and number of scaling
 steps chosen from the 1-norm of the shifted generator (exact for the transfer
 matrix, a Kronecker-product bound for the jump stacks), so it needs no step
 count and draws no random numbers.  The checkpoint states share the Taylor
-terms of the scaling step they fall in.  The run checks the initial state's
-spectrum, the trace and the spectrum of every checkpoint state (where the
-vector is turned back into a matrix; a drift past -1e-6 aborts the run rather
-than being silently projected away) and the result as a density matrix.
+terms of the scaling step they fall in.
+
+Every path is checked alike: the initial state once as a density matrix
+(``ValidationError``); every computed state, as a matrix, for a trace drift
+past 1e-9 or an eigenvalue below -1e-6, which abort the run
+(``RefinementError``) rather than being projected away; the result as a
+density matrix.
 
 At small dimension the exact channel is the propagator P = e^(L t) of the
 N^2 x N^2 vectorized generator (``scipy.linalg.expm``, scaling and squaring),
@@ -25,6 +28,7 @@ contraction check read a P passed in, so one exponential serves both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -38,12 +42,13 @@ from .errors import CapacityError, DimensionMismatchError, RefinementError, Vali
 from .lindblad import LindbladianRep, apply_generator, transfer_matrix
 from .operators import from_pauli_coefficients, pauli_coefficients
 
+METHODS = ("rk4", "expm")  # the exact Taylor action (a kept name) and the dense oracle
 EXPM_DIM_LIMIT = 64
 # the spectrum is checked at t, or at CHECKPOINTS equal steps to t when a run
 # records trajectory rows
 CHECKPOINTS = 8
 DRIFT_TRACE_TOL = 1e-9    # trace drift of a computed state that aborts the run
-DRIFT_EIG_FLOOR = -1e-6   # checkpoint min eigenvalue that aborts the run
+DRIFT_EIG_FLOOR = -1e-6   # min eigenvalue of a computed state that aborts the run
 HERM_TOL = 1e-10          # validate_density_matrix thresholds
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
@@ -77,7 +82,7 @@ class EvolutionConfig:
             raise ValidationError(f"evolution time must be finite, got {self.t_final!r}")
         if self.t_final < 0:
             raise ValidationError("evolution time must be nonnegative")
-        if self.method not in ("rk4", "expm"):
+        if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
 
 
@@ -109,30 +114,35 @@ def validate_density_matrix(rho) -> dict:
     return _check_density(density_matrix_diagnostics(rho))
 
 
+def energy(rho: np.ndarray, h_dense: np.ndarray) -> float:
+    """Tr[rho H], checked to be real to 1e-10."""
+    if rho.shape != h_dense.shape:
+        raise DimensionMismatchError(f"state {rho.shape} vs observable {h_dense.shape}")
+    val = complex(np.trace(rho @ h_dense))
+    if abs(val.imag) > 1e-10:
+        raise ValidationError(f"energy has imaginary part {val.imag:.3e}")
+    return val.real
+
+
 class _VectorForm(NamedTuple):
-    """The generator and the state of one run as a vector (see :func:`_vector_form`)."""
+    """The generator of one run on state vectors (see :func:`_vector_form`)."""
 
     matvec: Callable        # L on a state vector
     shift: float            # Tr L / (vector length), the mean eigenvalue of L
     shifted_norm: float     # ||L - shift I||_1 on the vectors, or an upper bound
-    state0: np.ndarray
-    trace: Callable         # Tr rho of a state vector
+    vector: Callable        # the state vector of a density matrix rho
     dense: Callable         # rho of a state vector
 
 
-def _vector_form(rep: LindbladianRep, rho0: np.ndarray) -> _VectorForm:
+def _vector_form(rep: LindbladianRep) -> _VectorForm:
     """The sampled models' real Pauli coefficients under the transfer matrix,
     or the Gaussian models' flattened matrix under the dense jump stacks."""
     if rep.instance.model in SAMPLED_MODELS:
         transfer = transfer_matrix(rep)
-        # the coefficient vector is real, so an anti-Hermitian part would be lost
-        deviation = hermitian_deviation(rho0)
-        if deviation > HERM_TOL:
-            raise ValidationError(f"not Hermitian: deviation {deviation:.3e}")
         diagonal = transfer.diagonal()
         shift = float(diagonal.mean())
         return _VectorForm(transfer.dot, shift, _shifted_csr_norm(transfer, diagonal, shift),
-                           pauli_coefficients(rho0), lambda r: r[0], from_pauli_coefficients)
+                           pauli_coefficients, from_pauli_coefficients)
     dim = rep.dim
     # L = sum_a K^a (x) conj(K^a) - (1/2)(G (x) I + I (x) G^T) on row-major
     # vectors, G = sum_a K^a_dag K^a; every jump is traceless, so Tr L = -N Tr G
@@ -145,8 +155,8 @@ def _vector_form(rep: LindbladianRep, rho0: np.ndarray) -> _VectorForm:
     bound = (columns.T @ columns).max() + np.abs(kdagk - mean * np.eye(dim)).sum(axis=0).max()
     return _VectorForm(
         lambda v: apply_generator(rep, v.reshape(dim, dim)).ravel(),
-        -float(mean), float(bound), rho0.astype(complex, copy=False).ravel(),
-        lambda v: np.trace(v.reshape(dim, dim)), lambda v: v.reshape(dim, dim),
+        -float(mean), float(bound), lambda rho: rho.astype(complex, copy=False).ravel(),
+        lambda v: v.reshape(dim, dim),
     )
 
 
@@ -174,9 +184,10 @@ def _taylor_parameters(norm: float) -> tuple[int, int]:
                key=lambda ms: ms[0] * ms[1])
 
 
-def _exact_states(form: _VectorForm, t: float, rows: bool):
-    """(checkpoint, time, state) of the action of e^(L t): the state at
-    t alone, or with ``rows`` the states at CHECKPOINTS equal steps to t.
+def _exact_states(form: _VectorForm, state0: np.ndarray, t: float, rows: bool):
+    """(checkpoint, time, state) of the action of e^(L t) on the vector
+    ``state0``: the state at t alone, or with ``rows`` the states at
+    CHECKPOINTS equal steps to t.
 
     Each of the s scaling steps sums the Taylor series of e^(h A), h = t / s,
     A = L - shift I, on the step's first state until two successive terms are
@@ -187,7 +198,7 @@ def _exact_states(form: _VectorForm, t: float, rows: bool):
     points = CHECKPOINTS if rows else 1
     degree, steps = _taylor_parameters(form.shifted_norm * t)
     h = t / steps
-    base, point = form.state0, 1
+    base, point = state0, 1
     for step in range(1, steps + 1):
         # the points in (step - 1, step] h and their fractions of the step;
         # the step's end comes last, whether or not it is a point
@@ -236,8 +247,11 @@ def propagator(rep: LindbladianRep, t: float) -> np.ndarray:
 def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajectory=None) -> np.ndarray:
     """rho_t = e^(L t)(rho0), validated as a density matrix.
 
-    The state runs as a vector (:func:`_vector_form`) under the action of
-    the exponential; the result is a dense matrix.
+    The operator comes first, so its byte checks precede any O(N^3) work:
+    the generator on state vectors (:func:`_vector_form`), the propagator
+    with ``method="expm"``, none at t = 0 (which returns a copy of rho0).
+    Then rho0 is validated (``ValidationError``), and it and each computed
+    state get the same drift checks (``RefinementError``) and rows.
 
     ``trajectory``, if given, is a list collecting checkpoint rows
     (step, time, energy, trace_error, min_eig), from step 0 at time 0; the
@@ -248,51 +262,29 @@ def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajecto
     if rho0.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(f"state shape {rho0.shape} vs generator dimension {rep.dim}")
     t = cfg.t_final
-
-    def record(step, time, rho, diag):
-        if trajectory is not None:
-            energy = float(np.trace(rho @ rep.h_dense).real)
-            trajectory.append(
-                {
-                    "step": step,
-                    "time": time,
-                    "energy": energy,
-                    "trace_error": diag["trace_err"],
-                    "min_eig": diag["min_eig"],
-                }
-            )
-
     if t == 0.0:
-        record(0, 0.0, rho0, validate_density_matrix(rho0))
-        return rho0.copy()
-    if cfg.method == "expm":
-        rho = unvec(propagator(rep, t) @ vec(rho0), rep.dim)
-        diag = validate_density_matrix(rho)
-        if trajectory is not None:
-            record(0, 0.0, rho0, density_matrix_diagnostics(rho0))
-            record(CHECKPOINTS, t, rho, diag)
-        return rho
+        computed = lambda rho: ()
+    elif cfg.method == "expm":
+        prop = propagator(rep, t)
+        computed = lambda rho: [(CHECKPOINTS, t, unvec(prop @ vec(rho), rep.dim))]
+    else:
+        form = _vector_form(rep)
+        computed = lambda rho: ((step, time, form.dense(state)) for step, time, state
+                                in _exact_states(form, form.vector(rho), t, trajectory is not None))
 
-    # the operator comes first, so its byte checks run before the O(N^3)
-    # checkpoint spectra
-    form = _vector_form(rep, rho0)
-
-    def checkpoint(step, time, rho):
-        diag = density_matrix_diagnostics(rho)
+    diag = validate_density_matrix(rho0)
+    for step, time, rho in itertools.chain([(0, 0.0, rho0)], computed(rho0)):
+        if step:  # step 0 is rho0, whose diagnostics are those validated
+            diag = density_matrix_diagnostics(rho)
+        if diag["trace_err"] > DRIFT_TRACE_TOL:
+            raise RefinementError(f"trace drift {diag['trace_err']:.3e} beyond {DRIFT_TRACE_TOL} at step {step}")
         if diag["min_eig"] < DRIFT_EIG_FLOOR:
             raise RefinementError(f"positivity drift: min eigenvalue {diag['min_eig']:.3e} at step {step}")
-        record(step, time, rho, diag)
-        return diag
-
-    checkpoint(0, 0.0, rho0)
-    for step, time, state in _exact_states(form, t, trajectory is not None):
-        trace_err = abs(form.trace(state) - 1.0)
-        if trace_err > DRIFT_TRACE_TOL:
-            raise RefinementError(f"trace drift {trace_err:.3e} beyond {DRIFT_TRACE_TOL} at step {step}")
-        rho = form.dense(state)
-        diag = checkpoint(step, time, rho)
-    _check_density(diag)  # the last checkpoint's diagnostics are those of rho
-    return rho
+        if trajectory is not None:
+            trajectory.append({"step": step, "time": time, "energy": energy(rho, rep.h_dense),
+                               "trace_error": diag["trace_err"], "min_eig": diag["min_eig"]})
+    _check_density(diag)  # the diagnostics of the last state
+    return rho0.copy() if step == 0 else rho
 
 
 def heisenberg_evolve(rep: LindbladianRep, obs: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:

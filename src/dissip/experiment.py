@@ -161,8 +161,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         missing = [key for key in ("model", "n", "k") if key not in cd]
         if missing:
             raise ValidationError(f"cell {i} needs {missing}")
+        cell_id = cd.get("id", f"cell{i}")
+        if not isinstance(cell_id, str):
+            raise ValidationError(f"cell {i}: id must be a string, got {cell_id!r}")
         cell = CellSpec(
-            cell_id=cd.get("id", f"cell{i}"),
+            cell_id=cell_id,
             model=cd["model"],
             n=_integer(cd["n"], f"cell {i}: n"),
             k=_integer(cd["k"], f"cell {i}: k"),

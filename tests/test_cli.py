@@ -92,7 +92,8 @@ def test_evolve_default_schedule_positive_energy(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["achieved"] > 0
     assert abs(doc["ratio"]) <= 1 + 1e-8
-    rows = list(csv.DictReader(traj.open()))
+    with traj.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["step"] == "0"
     assert set(rows[0]) == {"step", "time", "energy", "trace_error", "min_eig"}
     assert float(rows[-1]["trace_error"]) <= 1e-9
@@ -105,7 +106,8 @@ def test_evolve_expm_trajectory_has_first_and_last_rows(capsys, tmp_path):
         "--method", "expm", "--trajectory", str(traj),
     )
     assert code == 0
-    rows = list(csv.DictReader(traj.open()))
+    with traj.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [row["step"] for row in rows] == ["0", "8"]
     assert float(rows[-1]["energy"]) == json.loads(out)["achieved"]
 
@@ -117,7 +119,8 @@ def test_evolve_zero_time_trajectory_has_one_row(capsys, tmp_path):
         "--t", "0", "--trajectory", str(traj),
     )
     assert code == 0
-    rows = list(csv.DictReader(traj.open()))
+    with traj.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [(row["step"], row["time"]) for row in rows] == [("0", "0.0")]
     assert float(rows[0]["energy"]) == json.loads(out)["achieved"]
 
@@ -265,10 +268,14 @@ def test_sweep_config_error_exits_2_before_any_draw(capsys, tmp_path, section, k
          "unknown keys in output"),
         (lambda doc: doc["output"].update(results_csv=True), "results_csv must be a path string"),
         (lambda doc: doc["output"].update(stats_json=3), "stats_json must be a path string"),
+        (lambda doc: doc["cells"][0].update(id=["x"]), "id must be a string"),
+        (lambda doc: doc["cells"][0].update(id={"a": 1}), "id must be a string"),
+        (lambda doc: doc["cells"][0].update(id=None), "id must be a string"),
+        (lambda doc: doc["cells"][0].update(id=7), "id must be a string"),
     ],
     ids=["missing-model", "n-text", "m-list", "draws-text", "seed-null", "steps-text", "cell-number",
          "n-fraction", "draws-fraction", "m-bool", "evolution-key", "output-key", "output-bool",
-         "output-number"],
+         "output-number", "id-list", "id-object", "id-null", "id-number"],
 )
 def test_sweep_malformed_config_exits_2(capsys, tmp_path, edit, message):
     path, doc = sweep_config(tmp_path)

@@ -2,6 +2,7 @@
 contraction, Choi."""
 
 import math
+import re
 import sys
 import threading
 
@@ -15,6 +16,7 @@ from dissip.densemat import random_hermitian, spectral_norm, unvec, vec
 from dissip.errors import CapacityError, RefinementError, ValidationError
 from dissip.evolution import (
     CHECKPOINTS,
+    METHODS,
     TAYLOR_THETA,
     EvolutionConfig,
     choi_matrix,
@@ -165,8 +167,8 @@ def counting_matvecs(monkeypatch):
     counts = []
     vector_form = dissip.evolution._vector_form
 
-    def counted(rep, rho0):
-        form = vector_form(rep, rho0)
+    def counted(rep):
+        form = vector_form(rep)
 
         def matvec(v):
             counts[-1] += 1
@@ -201,7 +203,7 @@ def test_taylor_norm_bounds_the_shifted_generator(model, n, k, m):
     # exact for the transfer matrix, an upper bound for the jump stacks; the
     # 1-norm is the same on row- and column-stacked vectors
     rep = rep_for(model, n, k, m, 2, -0.15)
-    form = dissip.evolution._vector_form(rep, maximally_mixed(rep.instance.qubits))
+    form = dissip.evolution._vector_form(rep)
     generator = vectorized_generator(rep)
     shift = np.trace(generator).real / generator.shape[0]
     exact = np.abs(generator - shift * np.eye(generator.shape[0])).sum(axis=0).max()
@@ -249,11 +251,61 @@ def test_positivity_of_evolved_states():
         assert diag["trace_err"] <= 1e-10
 
 
-def test_positivity_drift_aborts_with_refinement_error():
+def drift_into_computed_state(monkeypatch, drifted):
+    # every computed state becomes ``drifted``: the Taylor checkpoints through
+    # the state vectors, and the propagator's state through the replacement
+    # channel rho -> Tr(rho) drifted
+    def taylor(form, state0, t, rows):
+        yield CHECKPOINTS, t, form.vector(drifted)
+
+    dim = len(drifted)
+    monkeypatch.setattr(dissip.evolution, "_exact_states", taylor)
+    monkeypatch.setattr(dissip.evolution, "propagator",
+                        lambda rep, t: np.outer(vec(drifted), vec(np.eye(dim))))
+
+
+def test_positivity_drift_aborts_with_refinement_error(monkeypatch):
     rep = rep_for("sparse_pauli", 2, 2, 4, 1, -0.1)
-    drifted = np.diag([0.5, 0.3, 0.2 + 1e-5, -1e-5]).astype(complex)  # eig below -1e-6
-    with pytest.raises(RefinementError):
-        evolve(rep, drifted, EvolutionConfig(t_final=0.2))
+    drift_into_computed_state(monkeypatch, np.diag([0.5, 0.3, 0.2 + 1e-5, -1e-5]).astype(complex))
+    for method in METHODS:
+        with pytest.raises(RefinementError, match="positivity drift: min eigenvalue -1.000e-05 at step 8"):
+            evolve(rep, maximally_mixed(2), EvolutionConfig(t_final=0.2, method=method))
+
+
+def test_trace_drift_aborts_with_refinement_error(monkeypatch):
+    rep = rep_for("sparse_pauli", 2, 2, 4, 1, -0.1)
+    drift_into_computed_state(monkeypatch, maximally_mixed(2) * (1 + 1e-6))
+    for method in METHODS:
+        with pytest.raises(RefinementError, match="trace drift 1.000e-06 beyond 1e-09 at step 8"):
+            evolve(rep, maximally_mixed(2), EvolutionConfig(t_final=0.2, method=method), trajectory=[])
+
+
+def invalid_states(dim):
+    mu = maximally_mixed(dim.bit_length() - 1)
+    spectrum = np.repeat([2.0 / dim, 0.0], dim // 2)
+    spectrum[0], spectrum[-1] = spectrum[0] + 1e-7, -1e-7
+    skew = np.zeros((dim, dim), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-6j, 1e-6j  # anti-Hermitian part i 1e-6 (E01 + E10)
+    return {
+        "trace-2": (2 * mu, "trace off unity by 1.000e+00"),
+        "negative-eig": (np.diag(spectrum).astype(complex), "negative spectrum: min eigenvalue -1.000e-07"),
+        "anti-hermitian": (mu + skew, "not Hermitian: deviation 2.000e-06"),
+    }
+
+
+@pytest.mark.parametrize("state", ["trace-2", "negative-eig", "anti-hermitian"])
+@pytest.mark.parametrize("t", [0.0, 0.2])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("model, n, k, m", [("sparse_pauli", 3, 2, 4), ("syk", 6, 4, None)])
+def test_invalid_initial_state_is_an_input_error(monkeypatch, model, n, k, m, method, t, state):
+    # every path validates rho0 itself, before the state runs: the error
+    # reports the input's value, and no Taylor product is taken
+    rep = rep_for(model, n, k, m, 0, -0.1)
+    rho0, message = invalid_states(rep.dim)[state]
+    counts = counting_matvecs(monkeypatch)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        evolve(rep, rho0, EvolutionConfig(t_final=t, method=method), trajectory=[])
+    assert counts == ([0] if method == "rk4" and t > 0 else [])
 
 
 def test_validate_density_matrix_negative_control():

@@ -157,18 +157,22 @@ def test_rep_is_instance_and_coupling():
     assert vars(rep) == {"instance": rep.instance, "y": -0.1}
 
 
-@pytest.mark.parametrize("model, n, k, m", [("sparse_pauli", 3, 2, 5), ("gaussian_pauli", 3, 2, None)])
-def test_evolve_checks_bytes_before_spectral_work(monkeypatch, model, n, k, m):
-    # the operator's byte checks come before the SVD step bound and the
-    # checkpoint eigvalsh, so an oversized run fails before O(N^3) work
+@pytest.mark.parametrize("model, n, k, m, method, match",
+                         [("sparse_pauli", 3, 2, 5, "rk4", "bytes"), ("gaussian_pauli", 3, 2, None, "rk4", "bytes"),
+                          ("sparse_pauli", 7, 2, 3, "expm", "N <= 64")],
+                         ids=["sparse_pauli-3-2-5", "gaussian_pauli-3-2-None", "expm-sparse_pauli-7-2-3"])
+def test_evolve_checks_bytes_before_spectral_work(monkeypatch, model, n, k, m, method, match):
+    # the operator's byte checks (the propagator's N <= 64 gate) come before
+    # the input's and the checkpoints' eigvalsh, so an oversized run fails
+    # before O(N^3) work
     rep = build_lindbladian(draw(model, n, k, m=m, seed=0), -0.1)
     rho0 = maximally_mixed(n)
     spectral = []
     monkeypatch.setattr(dissip.lindblad, "spectral_norm", lambda *a, **kw: spectral.append("svd"))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: spectral.append("eigvalsh"))
     monkeypatch.setattr(dissip.densemat, "MEMORY_BUDGET_BYTES", 1_000)
-    with pytest.raises(CapacityError, match="bytes"):
-        evolve(rep, rho0, EvolutionConfig(t_final=0.2))
+    with pytest.raises(CapacityError, match=match):
+        evolve(rep, rho0, EvolutionConfig(t_final=0.2, method=method))
     assert spectral == []
 
 
