@@ -12,12 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import apply_generator_adjoint, draw, random_density, single_z_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dissip.densemat
 import dissip.evolution
 import dissip.lindblad
 from dissip.analysis import schedule
 from dissip.densemat import random_hermitian
+from dissip.ensembles import MODELS, SAMPLED_MODELS, is_fermionic, make_instance
 from dissip.errors import CapacityError, ValidationError
 from dissip.evolution import CHECKPOINTS, EvolutionConfig, evolve, maximally_mixed
 from dissip.lindblad import (
@@ -87,6 +90,39 @@ def test_transposed_transfer_matches_dense_adjoint():
         obs = random_hermitian(rep.dim, rng)
         via_transfer = from_pauli_coefficients(transfer_matrix(rep).T @ pauli_coefficients(obs))
         assert np.abs(via_transfer - apply_generator_adjoint(rep, obs)).max() < 1e-12
+
+
+@st.composite
+def small_reps(data):
+    """A generator at N <= 16 on any of the four models: a drawn instance,
+    or (single-term and duplicate-term instances) a list of its terms picked
+    with repetition, at a coupling that is sometimes zero."""
+    model = data(st.sampled_from(MODELS))
+    if is_fermionic(model):
+        n = data(st.sampled_from([2, 4, 6, 8]))
+        k = data(st.sampled_from(range(2, n + 1, 2)))
+    else:
+        n = data(st.integers(1, 4))
+        k = data(st.integers(1, n))
+    m = data(st.integers(1, 8)) if model in SAMPLED_MODELS else None
+    inst = draw(model, n, k, m=m, seed=data(st.integers(0, 2**16)))
+    pick = data(st.none() | st.lists(st.integers(0, len(inst.terms) - 1), min_size=1, max_size=4))
+    if pick is not None:
+        inst = make_instance(model, n, k, [inst.terms[i] for i in pick], inst.seed)
+    y = data(st.floats(-0.5, -0.01) | st.floats(0.01, 0.5) | st.just(0.0))
+    return build_lindbladian(inst, y)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_reps(), st.integers(0, 2**16))
+def test_transfer_matches_dense_forms_on_random_draws(rep, seed):
+    rng = np.random.default_rng(seed)
+    transfer = transfer_matrix(rep)
+    rho, obs = random_hermitian(rep.dim, rng), random_hermitian(rep.dim, rng)
+    via_transfer = from_pauli_coefficients(transfer @ pauli_coefficients(rho))
+    assert np.abs(via_transfer - apply_generator(rep, rho)).max() < 1e-12
+    via_transposed = from_pauli_coefficients(transfer.T @ pauli_coefficients(obs))
+    assert np.abs(via_transposed - apply_generator_adjoint(rep, obs)).max() < 1e-12
 
 
 def test_transfer_identity_row_vanishes():
