@@ -115,10 +115,11 @@ def validate_density_matrix(rho) -> dict:
 
 
 def energy(rho: np.ndarray, h_dense: np.ndarray) -> float:
-    """Tr[rho H], checked to be real to 1e-10."""
+    """Tr[rho H], checked to be real to 1e-10; the sum of rho[i, j] H[j, i],
+    without the product rho H."""
     if rho.shape != h_dense.shape:
         raise DimensionMismatchError(f"state {rho.shape} vs observable {h_dense.shape}")
-    val = complex(np.trace(rho @ h_dense))
+    val = complex(np.einsum("ij,ji->", rho, h_dense))
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"energy has imaginary part {val.imag:.3e}")
     return val.real

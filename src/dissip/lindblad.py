@@ -34,8 +34,11 @@ The same structure gives the generator on Pauli coefficient vectors (see
 with H_a the terms anticommuting with A^a, is a short sum of canonical
 strings, and a pair of its strings P, P' moves a string Q to Q ^ P ^ P'.
 The only shifts are therefore 0, g and g ^ g', and the generator is a real
-sparse 4^q x 4^q matrix with at most one entry per column and shift
-(:func:`transfer_matrix`).  It is built from the symplectic masks alone.
+sparse 4^q x 4^q matrix with at most one entry per row and shift
+(:func:`transfer_matrix`).  It is built from the symplectic masks alone, in
+one pass over blocks of rows: a row's entry at a shift is a phase sign times
+a table entry indexed by the commutation bits of the row with the shift's
+strings.
 """
 
 from __future__ import annotations
@@ -289,82 +292,123 @@ def _shift_groups(rep: LindbladianRep) -> dict:
     return groups
 
 
+# row slots (rows times shifts) one block of the transfer build fills at once;
+# a block is at least one row of the (x, z) grid
+_TRANSFER_BLOCK = 1 << 14
+
+
 def transfer_matrix(rep: LindbladianRep):
     """Real sparse T with pauli_coefficients(L(rho)) = T pauli_coefficients(rho).
 
-    T[Q ^ s, Q] is the shift-s column vector of :func:`_shift_groups`, one
-    length-4^q vector per shift, built from the masks alone.  The first pass
-    counts the nonzeros of each row and the second fills preallocated CSR
-    arrays, so no vector outlives its shift.  T^T is the Heisenberg-picture
-    generator on the same coefficients.
+    T[R, R ^ s] is the shift-s entry of row R, from :func:`_shift_groups` and
+    the masks alone: a phase sign times an entry of the shift's table, which
+    is indexed by an x part XOR a z part of R.  The build fills T in one pass
+    over blocks of rows, each a (rows, shifts) array compacted into CSR arrays
+    sized by a structural bound on the nonzeros, so every entry is computed
+    once and no more than one block is held besides T and the tables.  T^T is
+    the Heisenberg-picture generator on the same coefficients.
     """
     from scipy.sparse import csr_matrix  # only the sampled evolution needs it
 
     q = rep.instance.qubits
-    size = 1 << (2 * q)
-    low = (1 << q) - 1
-    groups = _shift_groups(rep)
-    n_keys = len({key for coeffs in groups.values() for key in coeffs})
-    # at most one float64 and one int32 per column and shift, plus pass 1's
-    # cached sign vectors (one byte per string each) and working vectors;
-    # the shift count is at most 1 + m (m + 1) / 2
-    check_budget("transfer matrix", size * (12 * len(groups) + n_keys + 64))
-    idx = np.arange(size)
-    # string index (x << q) | z is the grid point [x, z]; every symplectic
-    # parity below splits into a function of x times one of z
+    side = 1 << q
+    size = side * side
+    low = side - 1
+    order = sorted(_shift_groups(rep).items())
+    n_shifts = len(order)
+    # S != I anticommutes with half the strings, and a shift's commuting and
+    # anticommuting parts are each nonzero on one half; S = I commutes with all
+    bound = sum(size if shift == 0 else
+                size // 2 * (any(a or b for a, b, _ in coeffs.values()) + any(c for *_, c in coeffs.values()))
+                for shift, coeffs in order)
+    # a table over the sign patterns of a shift's strings, or over all strings
+    # where that is no longer (shift 0 holds every string of the jumps)
+    lengths = [min(2 << len(coeffs), size) for _, coeffs in order]
+    x_rows = min(side, max(1, _TRANSFER_BLOCK // (side * n_shifts)))
+    # T at the bound; the tables, the working vectors of one over all strings
+    # and the index tables; one block's values, columns, phases and nonzeros
+    check_budget("transfer matrix", 12 * bound + 8 * (size + 1) + 8 * sum(lengths)
+                 + 48 * size * (size in lengths) + 17 * side * n_shifts
+                 + 33 * x_rows * side * n_shifts)
     popcount = popcount_table(q)
-    half = np.arange(low + 1)
+    half = np.arange(side)
 
     def parity(mask):
         """|b & mask| mod 2 for b = 0..2^q - 1."""
         return popcount[half & mask] & 1
 
-    xz = string_phase_exponents(low + 1).ravel()  # |x & z| mod 4 of every string
-    signs = {}
-
-    def chi(key):
-        """(-1)^<P, Q> for every Q, P the string at ``key``."""
-        if key not in signs:
-            # <P, Q> = |x_Q & z_P| + |z_Q & x_P|
-            signs[key] = np.multiply.outer(1 - 2 * parity(key & low), 1 - 2 * parity(key >> q)).ravel()
-        return signs[key]
-
-    def column(shift, coeffs):
-        """T[Q ^ shift, Q] for every Q."""
-        commuting = np.zeros(size)
-        anticommuting = np.zeros(size)
-        for key, (a, b, c) in coeffs.items():
+    def table(shift, coeffs, length):
+        """(entries, x index, z index) of one shift: T[R, R ^ shift] is the
+        phase sign times entries[x index[x_R] ^ z index[z_R]]."""
+        # chi_P(Q) = (-1)^<P, Q>, <P, Q> = |x_Q & z_P| + |z_Q & x_P|, splits
+        # into a function of x_Q times one of z_Q; S comes last, as R ^ s
+        # anticommutes with S iff R does
+        keys = [*coeffs, shift]
+        if length < size:
+            # bit k of a pattern is <P_k, R> mod 2
+            patterns = np.arange(length)
+            signs = (1 - 2 * ((patterns >> bit) & 1) for bit in range(len(keys)))
+            x_index = sum(parity(key & low).astype(np.int64) << bit for bit, key in enumerate(keys))
+            z_index = sum(parity(key >> q).astype(np.int64) << bit for bit, key in enumerate(keys))
+        else:
+            signs = (np.multiply.outer(1 - 2 * parity(key & low), 1 - 2 * parity(key >> q)).ravel()
+                     for key in keys)
+            x_index, z_index = half << q, half
+        commuting, anticommuting = np.zeros(length), np.zeros(length)
+        for key, sign in zip(coeffs, signs):
+            a, b, c = coeffs[key]
+            # chi_P(R ^ s) = chi_P(R) chi_P(s): the scalar joins the coefficients
+            at = 1 - 2 * ((popcount[key & low & (shift >> q)] + popcount[(key >> q) & shift & low]) & 1)
             if a or b:
-                commuting += a * chi(key) + b
+                commuting += (a * at) * sign + b
             if c:
-                anticommuting += c * chi(key)
-        z_q_x_s = parity(shift >> q)  # |z_Q & x_S| mod 2, a function of z
-        anti = (parity(shift & low)[:, None] ^ z_q_x_s[None, :]).ravel().astype(bool)
-        # Q S = i^e (Q ^ s); the real factor is Re(i^e) or Re(i^(e+1)) = (-1)^ceil(e/2)
-        e = ((xz + xz[shift] - xz[idx ^ shift]).reshape(-1, low + 1) + 2 * z_q_x_s).ravel() & 3
-        return (1 - 2 * (((e + 1) >> 1) & 1)) * np.where(anti, anticommuting, commuting)
+                anticommuting += (c * at) * sign
+        anti = next(signs) < 0  # the sign left after the keys' is that of S
+        return np.where(anti, anticommuting, commuting), x_index, z_index
 
-    order = sorted(groups.items())
-    counts = np.zeros(size, dtype=np.int64)
-    for shift, coeffs in order:
-        counts += (column(shift, coeffs) != 0)[idx ^ shift]
+    # the tables in one array, longest first, so that each starts at a
+    # multiple of its power-of-two length and its offset ORs into the x index
+    placed = sorted(range(n_shifts), key=lambda j: -lengths[j])
+    offsets = np.zeros(n_shifts, dtype=np.int64)
+    offsets[placed] = np.cumsum([0] + [lengths[j] for j in placed[:-1]])
+    tables = np.empty(sum(lengths))
+    x_index = np.empty((side, n_shifts), dtype=np.int64)
+    z_index = np.empty((side, n_shifts), dtype=np.int64)
+    for j, (shift, coeffs) in enumerate(order):
+        tables[offsets[j]:offsets[j] + lengths[j]], x_index[:, j], z_index[:, j] = table(shift, coeffs, lengths[j])
+    x_index |= offsets
+    # R ^ s times S is i^e R with e = |x & z|(R ^ s) + |x & z|(s) - |x & z|(R)
+    # + 2 |z_{R ^ s} & x_S| (mod 4), and its real factor is (-1)^ceil(e/2),
+    # -1 iff (e + 1) & 2.  The middle terms, plus one, by z and shift:
+    shifts = np.array([shift for shift, _ in order], dtype=np.int64)
+    xz = string_phase_exponents(side).ravel()
+    z_phase = np.stack([xz[shift] + 2 * (parity(shift >> q) ^ (popcount[(shift >> q) & shift & low] & 1)) + 1
+                        for shift in shifts.tolist()], axis=1).astype(np.int8)
+
+    data = np.empty(bound)
+    indices = np.empty(bound, dtype=np.int32)
     indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    del counts
-    nnz = int(indptr[-1])
-    check_budget("transfer matrix", 12 * nnz + 8 * (size + 1))
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=np.int32)
-    fill = indptr[:-1].copy()
-    for shift, coeffs in order:
-        col = column(shift, coeffs)
-        cols = np.flatnonzero(col)
-        rows = cols ^ shift
-        at = fill[rows]
-        indices[at] = cols
-        data[at] = col[cols]
-        fill[rows] += 1
-    return csr_matrix((data, indices, indptr), shape=(size, size))
+    nnz = 0
+    for x0 in range(0, side, x_rows):
+        x_block = slice(x0, min(side, x0 + x_rows))
+        rows = np.arange(x0 * side, x_block.stop * side)
+        values = tables.take((x_index[x_block, None, :] ^ z_index).reshape(-1, n_shifts))
+        columns = rows[:, None] ^ shifts
+        phase = xz.take(columns).reshape(-1, side, n_shifts)
+        phase -= xz[rows].reshape(-1, side, 1)
+        phase += z_phase
+        phase &= 2
+        np.subtract(1, phase, out=phase)
+        values *= phase.reshape(-1, n_shifts)
+        del phase
+        # compact row-major, so each row keeps its shifts in sorted order
+        found = np.flatnonzero(values != 0)
+        end = nnz + found.size
+        np.take(values, found, out=data[nnz:end])
+        np.take(columns, found, out=indices[nnz:end])
+        indptr[rows + 1] = nnz + np.searchsorted(found, n_shifts * np.arange(1, rows.size + 1))
+        nnz = end
+    return csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(size, size))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dissip.evolution import (
     choi_output_trace,
     contraction_excess,
     density_matrix_diagnostics,
+    energy,
     evolve,
     heisenberg_evolve,
     maximally_mixed,
@@ -47,6 +48,14 @@ def test_maximally_mixed():
     assert np.allclose(mu, np.diag([0.5, 0.5]))
     assert np.allclose(maximally_mixed(2), np.eye(4) / 4)
     assert np.trace(maximally_mixed(3)) == 1.0
+
+
+def test_energy_is_the_trace_of_the_product_and_real():
+    rng = np.random.default_rng(4)
+    rho, h = random_hermitian(16, rng), random_hermitian(16, rng)
+    assert energy(rho, h) == pytest.approx(np.trace(rho @ h).real, abs=1e-12)
+    with pytest.raises(ValidationError, match="imaginary part"):
+        energy(rho, h + 1e-6j * random_hermitian(16, rng))
 
 
 def test_zero_time_returns_input():

@@ -84,6 +84,18 @@ def test_transfer_matches_dense_generator():
         assert np.abs(via_transfer - apply_generator(rep, rho)).max() < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("model, n, k, m", C08_CELLS)
+def test_c08_cells_transfer_matches_dense_generator(model, n, k, m, seed):
+    # these cells hold shifts whose coefficients sit on up to eight strings,
+    # so their sign-pattern tables have up to nine index bits
+    inst = draw(model, n, k, m=m, seed=seed)
+    rep = build_lindbladian(inst, schedule(inst).y)
+    rho = random_hermitian(rep.dim, np.random.default_rng(seed))
+    via_transfer = from_pauli_coefficients(transfer_matrix(rep) @ pauli_coefficients(rho))
+    assert np.abs(via_transfer - apply_generator(rep, rho)).max() < 1e-12
+
+
 def test_transposed_transfer_matches_dense_adjoint():
     rng = np.random.default_rng(2)
     for rep in sampled_reps():
@@ -132,6 +144,40 @@ def test_transfer_identity_row_vanishes():
         assert transfer.shape == (rep.dim**2, rep.dim**2)
         row = transfer[[0]].toarray()
         assert np.abs(row).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("block", [1, 1 << 30], ids=["one-grid-row", "one-block"])
+@pytest.mark.parametrize("model, n, k, m", C08_CELLS)
+def test_transfer_blocks_join_without_seams(monkeypatch, model, n, k, m, block):
+    # blocks of one grid row each, or all rows in one block, give the same
+    # arrays as the default block size
+    rep = build_lindbladian(draw(model, n, k, m=m, seed=0), -0.1)
+    default = transfer_matrix(rep)
+    monkeypatch.setattr(dissip.lindblad, "_TRANSFER_BLOCK", block)
+    blocked = transfer_matrix(rep)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(blocked, part), getattr(default, part))
+        assert getattr(blocked, part).dtype == getattr(default, part).dtype
+
+
+@pytest.mark.parametrize("model, n, k, m", C08_CELLS)
+def test_transfer_byte_check_bounds_the_build(monkeypatch, model, n, k, m):
+    # the build's one byte check covers everything it allocates on the way
+    inst = draw(model, n, k, m=m, seed=0)
+    rep = build_lindbladian(inst, schedule(inst).y)
+    transfer_matrix(rep)  # imports happen outside the traced build
+    checked = []
+    check = dissip.lindblad.check_budget
+    monkeypatch.setattr(dissip.lindblad, "check_budget",
+                        lambda what, needed: (checked.append(needed), check(what, needed)))
+    tracemalloc.start()
+    try:
+        transfer_matrix(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1
+    assert peak <= checked[0]
 
 
 @pytest.mark.parametrize("model, n, k, m", C08_CELLS)
