@@ -408,7 +408,11 @@ def transfer_matrix(rep: LindbladianRep):
         np.take(columns, found, out=indices[nnz:end])
         indptr[rows + 1] = nnz + np.searchsorted(found, n_shifts * np.arange(1, rows.size + 1))
         nnz = end
-    return csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(size, size))
+    # shrink in place: the tail of the bound was never written, and holds no
+    # page once released
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 # ---------------------------------------------------------------------------
