@@ -375,7 +375,8 @@ def transfer_matrix(rep: LindbladianRep):
     x_index = np.empty((side, n_shifts), dtype=np.int64)
     z_index = np.empty((side, n_shifts), dtype=np.int64)
     for j, (shift, coeffs) in enumerate(order):
-        tables[offsets[j]:offsets[j] + lengths[j]], x_index[:, j], z_index[:, j] = table(shift, coeffs, lengths[j])
+        entries, x_index[:, j], z_index[:, j] = table(shift, coeffs, lengths[j])
+        tables[offsets[j]:offsets[j] + lengths[j]] = entries
     x_index |= offsets
     # R ^ s times S is i^e R with e = |x & z|(R ^ s) + |x & z|(s) - |x & z|(R)
     # + 2 |z_{R ^ s} & x_S| (mod 4), and its real factor is (-1)^ceil(e/2),
@@ -383,7 +384,7 @@ def transfer_matrix(rep: LindbladianRep):
     shifts = np.array([shift for shift, _ in order], dtype=np.int64)
     xz = string_phase_exponents(side).ravel()
     z_phase = np.stack([xz[shift] + 2 * (parity(shift >> q) ^ (popcount[(shift >> q) & shift & low] & 1)) + 1
-                        for shift in shifts.tolist()], axis=1).astype(np.int8)
+                        for shift in shifts.tolist()], axis=1)
 
     data = np.empty(bound)
     indices = np.empty(bound, dtype=np.int32)
