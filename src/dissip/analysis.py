@@ -143,12 +143,6 @@ def schedule(instance: HamiltonianInstance, *, y=None, t=None, c_y=None, c_t=Non
 # sign averaging
 # ---------------------------------------------------------------------------
 
-def _signed_energy(instance, signs, y, t) -> float:
-    rep = build_lindbladian(with_signs(instance, signs), y)
-    rho = evolve(rep, maximally_mixed(instance.qubits), EvolutionConfig(t_final=t, method="expm"))
-    return energy(rho, rep.h_dense)
-
-
 def rademacher_average_energy(
     instance: HamiltonianInstance,
     y: float,
@@ -158,7 +152,7 @@ def rademacher_average_energy(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Mean over the sign patterns of the achieved energy Tr[e^(L t)(mu) H],
-    each pattern evolved like a draw but with the ``expm`` oracle.
+    each pattern evolved and reported like a draw (:func:`evolve_report`).
 
     ``enumerate`` averages all 2^m patterns exactly (stderr 0); ``sample``
     draws patterns from a seeded stream and reports the sample stderr.
@@ -168,19 +162,17 @@ def rademacher_average_energy(
     if mode == "enumerate":
         if m > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(f"2^{m} patterns exceed the 2^{ENUMERATION_BUDGET} budget")
-        vals = [
-            _signed_energy(instance, pattern, y, t)
-            for pattern in itertools.product((1, -1), repeat=m)
-        ]
-        return float(np.mean(vals)), 0.0
-    if mode != "sample":
+        patterns = itertools.product((1, -1), repeat=m)
+    elif mode == "sample":
+        if samples < 2:
+            raise ValidationError("sample mode needs at least 2 patterns")
+        patterns = 2 * np.random.default_rng(seed).integers(0, 2, size=(samples, m)) - 1
+    else:
         raise ValidationError(f"unknown mode {mode!r}")
-    if samples < 2:
-        raise ValidationError("sample mode needs at least 2 patterns")
-    rng = np.random.default_rng(seed)
-    patterns = 2 * rng.integers(0, 2, size=(samples, m)) - 1
-    vals = [_signed_energy(instance, row, y, t) for row in patterns]
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
+    cfg = EvolutionConfig(t_final=t)
+    vals = [evolve_report(with_signs(instance, p), y, cfg).achieved for p in patterns]
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if mode == "sample" else 0.0
+    return float(np.mean(vals)), stderr
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,15 @@ def _shifted_csr_norm(matrix, diagonal: np.ndarray, shift: float) -> float:
 
 def _taylor_parameters(norm: float) -> tuple[int, int]:
     """(degree m, scaling steps s) with the fewest products m s such that
-    norm / s <= theta_m, for ``norm`` = ||t A||_1 or an upper bound of it."""
+    norm / s <= theta_m, for ``norm`` = ||t A||_1 or an upper bound of it;
+    ``ValidationError`` when a ratio norm / theta_m is not finite."""
+    ratios = {m: norm / theta for m, theta in TAYLOR_THETA.items()}
+    if not all(map(math.isfinite, ratios.values())):
+        raise ValidationError(f"||t (L - mu I)||_1 = {norm!r} overflows the Taylor scaling: "
+                              "the coupling or the time is too large")
     if norm == 0.0:
         return 0, 1
-    return min(((m, max(1, math.ceil(norm / theta))) for m, theta in TAYLOR_THETA.items()),
+    return min(((m, max(1, math.ceil(ratio))) for m, ratio in ratios.items()),
                key=lambda ms: ms[0] * ms[1])
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .densemat import check_budget, check_dense_budget, random_hermitian_stack, spectral_norm
 from .ensembles import HamiltonianInstance, instance_to_dense
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ValidationError
 from .operators import (
     MajoranaMonomial,
     PauliString,
@@ -282,7 +282,10 @@ def _shift_groups(rep: LindbladianRep) -> dict:
 
     for comps in _jump_components(rep):
         for j, (key_j, p_j, c_j) in enumerate(comps):
-            weight = abs(c_j) ** 2
+            try:
+                weight = abs(c_j) ** 2
+            except OverflowError:
+                raise ValidationError(f"jump coefficient {c_j!r} at y = {rep.y!r} overflows") from None
             add(0, key_j, weight, -weight, 0.0)
             for key_l, p_l, c_l in comps[j + 1:]:
                 _, w = pauli_mul(p_j, p_l)

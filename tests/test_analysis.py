@@ -12,11 +12,11 @@ from dissip.analysis import (
     BoundCheckReport,
     Check,
     EnergyReport,
-    _signed_energy,
     default_c_t,
     default_c_y,
     energy,
     energy_report,
+    evolve_report,
     first_order_term,
     glo_loc_ratio_stats,
     loglog_slope,
@@ -161,7 +161,8 @@ def test_two_pattern_symmetry_single_term():
 
 def test_sample_mode_agrees_with_enumeration():
     inst = draw("sparse_pauli", 2, 2, m=4, seed=6)
-    per_pattern = [_signed_energy(inst, p, -0.2, 0.1) for p in itertools.product((1, -1), repeat=4)]
+    per_pattern = [evolve_report(with_signs(inst, p), -0.2, EvolutionConfig(t_final=0.1)).achieved
+                   for p in itertools.product((1, -1), repeat=4)]
     assert max(per_pattern) - min(per_pattern) > 0.1  # so stderr > 0 is not rounding noise
     exact, _ = rademacher_average_energy(inst, y=-0.2, t=0.1)
     approx, stderr = rademacher_average_energy(
@@ -169,6 +170,23 @@ def test_sample_mode_agrees_with_enumeration():
     )
     assert stderr > 0.0
     assert abs(approx - exact) < 5 * stderr + 1e-12
+
+
+@pytest.mark.parametrize("t", [0.01, 0.08])
+@pytest.mark.parametrize("model, n, k, m, seed", [("sparse_pauli", 3, 2, 4, 2), ("sparse_fermion", 6, 2, 3, 6)])
+def test_sign_average_matches_the_expm_oracle_per_pattern(model, n, k, m, seed, t):
+    # seeds whose patterns give different energies, so the mean weighs every pattern
+    inst = draw(model, n, k, m=m, seed=seed)
+    y = schedule(inst).y
+    oracle = []
+    for pattern in itertools.product((1, -1), repeat=m):
+        rep = build_lindbladian(with_signs(inst, pattern), y)
+        rho = evolve(rep, maximally_mixed(inst.qubits), EvolutionConfig(t_final=t, method="expm"))
+        oracle.append(energy(rho, rep.h_dense))
+    assert max(oracle) - min(oracle) > 1e-3
+    mean, stderr = rademacher_average_energy(inst, y=y, t=t)
+    assert abs(mean - np.mean(oracle)) <= 1e-12
+    assert stderr == 0.0
 
 
 def test_sign_average_never_computes_norm_bound(monkeypatch):

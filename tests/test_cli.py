@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dissip
@@ -136,6 +137,30 @@ def test_refinement_error_without_step_count_prints_no_suggestion(capsys, monkey
     assert err.splitlines()[-1] == "error: positivity drift: min eigenvalue -1.000e-05 at step 0"
 
 
+SPIN_3 = ("--model", "sparse_pauli", "--n", "3", "--k", "2", "--m", "3", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "model_args, y, message",
+    [
+        (SPIN_3, "1e200", "jump coefficient"),
+        (SPIN_3, "1e150", "overflows the Taylor scaling"),  # a finite 1-norm of about 3e301
+        (("--model", "syk", "--n", "4", "--k", "2"), "1e200", "overflows the Taylor scaling"),
+    ],
+    ids=["sampled", "sampled-scaling", "gaussian"],
+)
+def test_evolve_overflowing_coupling_exits_2(capsys, tmp_path, model_args, y, message):
+    out = tmp_path / "out.json"
+    # the Gaussian jump stacks overflow on the way, which numpy warns about
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(capsys, "evolve", *model_args, "--y", y, "--t", "1", "--out", str(out))
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -226,6 +251,19 @@ def test_sweep_deterministic_modulo_wall_time(capsys, tmp_path):
     first = read_without_wall()
     assert run_cli(capsys, "sweep", "--config", str(path), "--workers", "2")[0] == 0
     assert read_without_wall() == first
+
+
+def test_sweep_records_an_overflowing_coupling_as_failed_draws(capsys, tmp_path):
+    path, doc = sweep_config(tmp_path)
+    doc["cells"].append({"id": "huge", "model": "sparse_pauli", "n": 3, "k": 2, "m": 3, "y": 1e200, "t": 1.0})
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 0
+    with open(doc["output"]["results_csv"]) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows if r["cell_id"] == "spin"] == ["ok", "ok"]
+    huge = [r["status"] for r in rows if r["cell_id"] == "huge"]
+    assert len(huge) == 2 and all(s.startswith("ValidationError: jump coefficient") for s in huge)
 
 
 @pytest.mark.parametrize(
