@@ -173,7 +173,8 @@ def test_sample_mode_agrees_with_enumeration():
 
 
 @pytest.mark.parametrize("t", [0.01, 0.08])
-@pytest.mark.parametrize("model, n, k, m, seed", [("sparse_pauli", 3, 2, 4, 2), ("sparse_fermion", 6, 2, 3, 6)])
+@pytest.mark.parametrize("model, n, k, m, seed",
+                         [("sparse_pauli", 3, 2, 4, 2), ("sparse_fermion", 6, 2, 3, 6)])
 def test_sign_average_matches_the_expm_oracle_per_pattern(model, n, k, m, seed, t):
     # seeds whose patterns give different energies, so the mean weighs every pattern
     inst = draw(model, n, k, m=m, seed=seed)
