@@ -322,10 +322,6 @@ class Check:
         return cls(name=name, lhs=float(lhs), rhs=float(rhs), tolerance=float(tolerance),
                    passed=bool(lhs <= rhs + tolerance))
 
-    @classmethod
-    def absolute(cls, name, value, target, tolerance) -> "Check":
-        return cls.one_sided(name, abs(value - target), 0.0, tolerance)
-
 
 @dataclass(frozen=True)
 class BoundCheckReport:

@@ -244,10 +244,17 @@ def vectorized_generator(rep: LindbladianRep) -> np.ndarray:
     return out
 
 
+def _finite(name: str, mat: np.ndarray) -> np.ndarray:
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"{name} is not finite: the coupling or the time is too large")
+    return mat
+
+
 def propagator(rep: LindbladianRep, t: float) -> np.ndarray:
     """P = e^(L t) on column-stacked operators; its conjugate transpose is the
-    Heisenberg-picture channel e^(Ldag t)."""
-    return expm(vectorized_generator(rep) * t)
+    Heisenberg-picture channel e^(Ldag t).  ``ValidationError`` when L t or
+    e^(L t) is not finite."""
+    return _finite("e^(L t)", expm(_finite("L t", vectorized_generator(rep) * t)))
 
 
 def evolve(rep: LindbladianRep, rho0: np.ndarray, cfg: EvolutionConfig, trajectory=None) -> np.ndarray:

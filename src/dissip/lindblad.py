@@ -35,10 +35,10 @@ with H_a the terms anticommuting with A^a, is a short sum of canonical
 strings, and a pair of its strings P, P' moves a string Q to Q ^ P ^ P'.
 The only shifts are therefore 0, g and g ^ g', and the generator is a real
 sparse 4^q x 4^q matrix with at most one entry per row and shift
-(:func:`transfer_matrix`).  It is built from the symplectic masks alone, in
-one pass over blocks of rows: a row's entry at a shift is a phase sign times
-a table entry indexed by the commutation bits of the row with the shift's
-strings.
+(:func:`transfer_matrix`).  It is built from the strings' integer keys
+alone (:func:`dissip.operators.string_key`), in one pass over blocks of rows:
+a row's entry at a shift is a phase sign times a table entry indexed by the
+commutation bits of the row with the shift's strings.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ from .operators import (
     PauliString,
     canonical_dense,
     canonical_phase,
-    coefficient_index,
     commutes,
-    majorana_to_pauli,
-    pauli_mul,
+    key_mul,
     popcount_table,
+    string_key,
     string_phase_exponents,
+    term_qubits,
     to_dense,
 )
 
@@ -81,12 +81,19 @@ def build_jump_set(instance: HamiltonianInstance) -> tuple:
 
 
 def commutation_table(jumps, terms) -> np.ndarray:
-    """b_ag flags (|A| x m), from the bit-level predicates only."""
-    table = np.zeros((len(jumps), len(terms)), dtype=np.uint8)
-    for a, base in enumerate(jumps):
-        for g, term in enumerate(terms):
-            table[a, g] = not commutes(base, term.op)
-    return table
+    """b_ag flags (|A| x m, uint8): the symplectic parity of the string keys,
+    |x_a & z_g| + |z_a & x_g| mod 2, as one product of bit matrices."""
+    q = term_qubits(jumps[0])
+    positions = np.arange(2 * q).astype(object)  # keys may pass 64 bits
+
+    def bits(ops):
+        """(len(ops), 2q) uint8, bit i of each key in column i."""
+        keys = np.array([string_key(op)[0] for op in ops], dtype=object).reshape(-1, 1)
+        return ((keys >> positions) & 1).astype(np.uint8)
+
+    # with the halves of the term bits swapped the form is a dot product; the
+    # uint8 product wraps mod 256, which keeps its parity
+    return (bits(jumps) @ np.roll(bits([t.op for t in terms]), q, axis=1).T) & 1
 
 
 def ledger_violations(instance: HamiltonianInstance) -> tuple[int, int]:
@@ -227,30 +234,23 @@ def apply_generator(rep: LindbladianRep, rho: np.ndarray) -> np.ndarray:
 # Pauli-transfer form
 # ---------------------------------------------------------------------------
 
-def _as_pauli(op, phase=1.0) -> tuple:
-    """(string, phase') with phase * op == phase' * string as matrices."""
-    if isinstance(op, MajoranaMonomial):
-        pauli, extra = majorana_to_pauli(op)
-        return pauli, phase * extra
-    return op, phase
-
-
 def _jump_components(rep: LindbladianRep):
     """Each K^a = A^a + 2y sum_{g: b_ag = 1} s_g h_g A^a U_g as a list of
-    (coefficient-vector index, canonical string, coefficient), repeated
-    strings merged and zero coefficients dropped."""
-    terms = [
-        (*_as_pauli(t.op, canonical_phase(t.op)), 2.0 * rep.y * t.s * t.h)
-        for t in rep.instance.terms
-    ]
+    (string key, coefficient), sorted by key, repeated strings merged and
+    zero coefficients dropped."""
+    q = rep.instance.qubits
+    terms = []
+    for t in rep.instance.terms:
+        key, phase = string_key(t.op)
+        terms.append((key, canonical_phase(t.op) * phase, 2.0 * rep.y * t.s * t.h))
     for a, base in enumerate(build_jump_set(rep.instance)):
-        p_a, phase_a = _as_pauli(base)
-        comps = {coefficient_index(p_a): [p_a, complex(phase_a)]}
+        key_a, phase_a = string_key(base)
+        comps = {key_a: phase_a}
         for g in np.flatnonzero(rep.b_table[a]):
-            p_g, phase_g, coeff = terms[g]
-            p, phase = pauli_mul(p_a, p_g)
-            comps.setdefault(coefficient_index(p), [p, 0j])[1] += coeff * phase_a * phase_g * phase
-        yield [(key, p, c) for key, (p, c) in sorted(comps.items()) if c != 0]
+            key_g, phase_g, coeff = terms[g]
+            key, phase = key_mul(q, key_a, key_g)
+            comps[key] = comps.get(key, 0j) + coeff * phase_a * phase_g * phase
+        yield [(key, c) for key, c in sorted(comps.items()) if c != 0]
 
 
 def _shift_groups(rep: LindbladianRep) -> dict:
@@ -272,6 +272,7 @@ def _shift_groups(rep: LindbladianRep) -> dict:
     Q = S every pair has a chi_j(S) = -b exactly, and so has each sum, which
     keeps the identity row of T exactly zero.
     """
+    q = rep.instance.qubits
     groups = {}
 
     def add(shift, key, a, b, c):
@@ -281,16 +282,16 @@ def _shift_groups(rep: LindbladianRep) -> dict:
         coeffs[2] += c
 
     for comps in _jump_components(rep):
-        for j, (key_j, p_j, c_j) in enumerate(comps):
+        for j, (key_j, c_j) in enumerate(comps):
             try:
                 weight = abs(c_j) ** 2
             except OverflowError:
                 raise ValidationError(f"jump coefficient {c_j!r} at y = {rep.y!r} overflows") from None
             add(0, key_j, weight, -weight, 0.0)
-            for key_l, p_l, c_l in comps[j + 1:]:
-                _, w = pauli_mul(p_j, p_l)
+            for key_l, c_l in comps[j + 1:]:
+                shift, w = key_mul(q, key_j, key_l)
                 v = c_j * c_l.conjugate()
-                add(key_j ^ key_l, key_j, 2.0 * (v * w).real, -2.0 * (v * w.conjugate()).real,
+                add(shift, key_j, 2.0 * (v * w).real, -2.0 * (v * w.conjugate()).real,
                     2.0 * (v * w).imag)
     return groups
 
@@ -361,7 +362,8 @@ def transfer_matrix(rep: LindbladianRep):
         for key, sign in zip(coeffs, signs):
             a, b, c = coeffs[key]
             # chi_P(R ^ s) = chi_P(R) chi_P(s): the scalar joins the coefficients
-            at = 1 - 2 * ((popcount[key & low & (shift >> q)] + popcount[(key >> q) & shift & low]) & 1)
+            overlap = (key & low & (shift >> q)).bit_count() + ((key >> q) & shift & low).bit_count()
+            at = 1 - 2 * (overlap & 1)
             if a or b:
                 commuting += (a * at) * sign + b
             if c:
@@ -386,7 +388,7 @@ def transfer_matrix(rep: LindbladianRep):
     # -1 iff (e + 1) & 2.  The middle terms, plus one, by z and shift:
     shifts = np.array([shift for shift, _ in order], dtype=np.int64)
     xz = string_phase_exponents(side).ravel()
-    z_phase = np.stack([xz[shift] + 2 * (parity(shift >> q) ^ (popcount[(shift >> q) & shift & low] & 1)) + 1
+    z_phase = np.stack([xz[shift] + 2 * (parity(shift >> q) ^ (((shift >> q) & shift & low).bit_count() & 1)) + 1
                         for shift in shifts.tolist()], axis=1)
 
     data = np.empty(bound)

@@ -9,7 +9,7 @@ their phase explicitly.  Commutation is a popcount parity of the symplectic
 form, so predicates never touch dense matrices.
 
 Majorana monomials chi_S = chi_{i1} ... chi_{ik} (i1 < ... < ik) are stored as
-an occupation mask over n modes.  Dense realization uses the Jordan-Wigner
+an occupation mask over n modes.  Their qubit form uses the Jordan-Wigner
 embedding, fixed once and for all as
 
     chi_{2j-1} = Z^(j-1) X_j,    chi_{2j} = Z^(j-1) Y_j     (1-based j),
@@ -17,6 +17,10 @@ embedding, fixed once and for all as
 which satisfies chi_i chi_j + chi_j chi_i = 2 delta_ij.  Any embedding with
 the Clifford relations would do; fixing one keeps tests deterministic.
 Results are embedding-invariant up to unitary conjugation.
+
+Every operator has one coefficient-basis form, ``(key, phase)`` from
+:func:`string_key`; dense realizations, the jumps' commutation flags and the
+generator are derived from keys, and :func:`key_mul` multiplies them.
 
 Site indices are 0-based everywhere in code; the text encodings used for
 serialization ("X1 Z3", "M1 M2 M5 M6") are 1-based.
@@ -152,24 +156,30 @@ def _require_same_n(a, b):
         raise DimensionMismatchError(f"operands act on {a.n} vs {b.n} sites")
 
 
+def _product_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
+    """i-exponent (mod 4) of the product of the canonical strings (x1, z1) and
+    (x2, z2), in any one site order.  Writing each letter as i^(x.z) X^x Z^z,
+    it accumulates per site as x1 z1 + x2 z2 - x3 z3 + 2 z1 x2."""
+    return ((x1 & z1).bit_count() + (x2 & z2).bit_count() - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+            + 2 * (z1 & x2).bit_count()) % 4
+
+
 def pauli_mul(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
     """Product of two Pauli strings.
 
     Returns ``(c, phase)`` with dense(a) @ dense(b) == phase * dense(c) and
-    phase in {1, i, -1, -i}.  Writing each canonical letter as
-    i^(x.z) X^x Z^z, the i-exponent of the product accumulates per site as
-    x1 z1 + x2 z2 - x3 z3 + 2 z1 x2 (mod 4).
+    phase in {1, i, -1, -i}.
     """
     _require_same_n(a, b)
-    x3 = a.x_bits ^ b.x_bits
-    z3 = a.z_bits ^ b.z_bits
-    e = (
-        (a.x_bits & a.z_bits).bit_count()
-        + (b.x_bits & b.z_bits).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (a.z_bits & b.x_bits).bit_count()
-    ) % 4
-    return PauliString(a.n, x3, z3), PHASES[e]
+    return (PauliString(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits),
+            PHASES[_product_exponent(a.x_bits, a.z_bits, b.x_bits, b.z_bits)])
+
+
+def key_mul(q: int, a: int, b: int) -> tuple[int, complex]:
+    """Product of the strings with keys ``a`` and ``b`` (:func:`string_key`)
+    on q qubits: ``(a ^ b, phase)`` with P_a P_b == phase * P_(a ^ b)."""
+    low = (1 << q) - 1
+    return a ^ b, PHASES[_product_exponent(a >> q, a & low, b >> q, b & low)]
 
 
 def pauli_commutes(a: PauliString, b: PauliString) -> int:
@@ -250,30 +260,27 @@ def popcount_table(bits: int) -> np.ndarray:
     return table
 
 
-def position_masks(p: PauliString) -> tuple[int, int]:
-    """(x, z) masks of the string in basis-index bit positions.
-
-    Qubit i maps to bit position (n-1-i) of the basis index, so qubit 0 is
-    the leftmost kron factor.
-    """
-    q = p.n
-    xm = zm = 0
-    for site in range(q):
-        pos = q - 1 - site
-        xm |= ((p.x_bits >> site) & 1) << pos
-        zm |= ((p.z_bits >> site) & 1) << pos
-    return xm, zm
+def term_qubits(term: Term) -> int:
+    """Qubits of the term: n for a Pauli string, n/2 for a Majorana monomial."""
+    return term.n // 2 if isinstance(term, MajoranaMonomial) else term.n
 
 
-def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Column action of the canonical string: P|b> = vals[b] |rows[b]>."""
-    size = 1 << p.n
-    xm, zm = position_masks(p)
-    cols = np.arange(size)
-    rows = cols ^ xm
-    phase = PHASES[(p.x_bits & p.z_bits).bit_count() % 4]
-    vals = phase * (1.0 - 2.0 * (popcount_table(p.n)[cols & zm] & 1))
-    return rows, vals
+def string_key(term: Term) -> tuple[int, complex]:
+    """``(key, phase)`` with dense(term) == phase * P_key, P_key = i^{|x & z|}
+    X^x Z^z the canonical string at index key = (x << q) | z of a coefficient
+    vector.  Qubit i is bit q-1-i of x and z (qubit 0 is the leftmost kron
+    factor); Majorana monomials pass through Jordan-Wigner here."""
+    if isinstance(term, MajoranaMonomial):
+        q, key, phase = term.n // 2, 0, 1 + 0j
+        for mode in term.modes():
+            # chi_mode: Z on the qubits before its own, there X (even) or Y (odd)
+            bit = q - 1 - mode // 2
+            x, z = 1 << bit, ((1 << q) - (2 << bit)) | (mode & 1) << bit
+            key, factor = key_mul(q, key, (x << q) | z)
+            phase *= factor
+        return key, phase
+    # the masks' bits reversed, x then z, read as one binary number
+    return int("".join(f"{bits:0{term.n}b}"[::-1] for bits in (term.x_bits, term.z_bits)), 2), 1 + 0j
 
 
 def term_action(term: Term, global_phase: complex = 1.0):
@@ -283,11 +290,12 @@ def term_action(term: Term, global_phase: complex = 1.0):
     matrix, so this O(2^q) form is enough to build or accumulate dense
     realizations without materializing intermediates.
     """
-    if isinstance(term, MajoranaMonomial):
-        pauli, phase = majorana_to_pauli(term)
-        return term_action(pauli, global_phase * phase)
-    rows, vals = _pauli_action(term)
-    return rows, global_phase * vals
+    q = term_qubits(term)
+    key, phase = string_key(term)
+    x, z = key >> q, key & ((1 << q) - 1)
+    cols = np.arange(1 << q)
+    vals = PHASES[(x & z).bit_count() % 4] * (1.0 - 2.0 * (popcount_table(q)[cols & z] & 1))
+    return cols ^ x, (global_phase * phase) * vals
 
 
 def to_dense(term: Term, global_phase: complex = 1.0) -> np.ndarray:
@@ -296,7 +304,7 @@ def to_dense(term: Term, global_phase: complex = 1.0) -> np.ndarray:
     q equals the qubit count for Pauli strings and half the mode count
     (via Jordan-Wigner) for Majorana monomials.
     """
-    size = 1 << (term.n // 2 if isinstance(term, MajoranaMonomial) else term.n)
+    size = 1 << term_qubits(term)
     check_dense_budget("dense realization", size)
     rows, vals = term_action(term, global_phase)
     out = np.zeros((size, size), dtype=complex)
@@ -314,9 +322,9 @@ def canonical_dense(term: Term) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # An operator on q qubits is M = (1/N) sum_P r_P P over the N^2 canonical
-# strings P = i^{|x & z|} X^x Z^z, with (x, z) the basis-position masks of
-# _pauli_action and r_P = Tr(P M).  P sits at index (x << q) | z of the
-# vector r, so r[0] = Tr M, and r is real when M is Hermitian.
+# strings P = i^{|x & z|} X^x Z^z and r_P = Tr(P M).  P sits at its key
+# (x << q) | z (:func:`string_key`) in the vector r, so r[0] = Tr M, and r is
+# real when M is Hermitian.
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """sum_c (-1)^popcount(c & z) a[..., c] for every z, along the last axis."""
@@ -328,12 +336,6 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
         a = np.stack((v[..., 0, :] + v[..., 1, :], v[..., 0, :] - v[..., 1, :]), axis=-2)
         half *= 2
     return a.reshape(shape)
-
-
-def coefficient_index(p: PauliString) -> int:
-    """Index (x << q) | z of the string in a coefficient vector."""
-    x, z = position_masks(p)
-    return (x << p.n) | z
 
 
 def string_phase_exponents(dim: int) -> np.ndarray:

@@ -395,7 +395,7 @@ def test_energy_report_fields_and_ratio_invariant():
 def test_check_and_report():
     good = Check.one_sided("bound", 1.0, 2.0, 0.0)
     bad = Check.one_sided("bound2", 3.0, 2.0, 1e-9)
-    near = Check.absolute("identity", 1.0 + 1e-12, 1.0, 1e-9)
+    near = Check.one_sided("identity", abs((1.0 + 1e-12) - 1.0), 0.0, 1e-9)
     report = BoundCheckReport(checks=(good, bad, near))
     assert good.passed and near.passed and not bad.passed
     assert not report.all_passed

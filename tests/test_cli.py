@@ -146,8 +146,12 @@ SPIN_3 = ("--model", "sparse_pauli", "--n", "3", "--k", "2", "--m", "3", "--seed
         (SPIN_3, "1e200", "jump coefficient"),
         (SPIN_3, "1e150", "overflows the Taylor scaling"),  # a finite 1-norm of about 3e301
         (("--model", "syk", "--n", "4", "--k", "2"), "1e200", "overflows the Taylor scaling"),
+        # the dense oracle checks L t and e^(L t)
+        ((*SPIN_3, "--method", "expm"), "1e200", "L t is not finite"),
+        ((*SPIN_3, "--method", "expm"), "1e30", "e^(L t) is not finite"),
+        (("--model", "syk", "--n", "4", "--k", "2", "--method", "expm"), "1e30", "e^(L t) is not finite"),
     ],
-    ids=["sampled", "sampled-scaling", "gaussian"],
+    ids=["sampled", "sampled-scaling", "gaussian", "sampled-expm", "sampled-expm-exponential", "gaussian-expm"],
 )
 def test_evolve_overflowing_coupling_exits_2(capsys, tmp_path, model_args, y, message):
     out = tmp_path / "out.json"
@@ -253,17 +257,33 @@ def test_sweep_deterministic_modulo_wall_time(capsys, tmp_path):
     assert read_without_wall() == first
 
 
-def test_sweep_records_an_overflowing_coupling_as_failed_draws(capsys, tmp_path):
+def overflowing_sweep(capsys, tmp_path, y, evolution):
+    """The statuses of the two draws of a normal cell and of a cell at
+    coupling y, from a sweep that must exit 0."""
     path, doc = sweep_config(tmp_path)
-    doc["cells"].append({"id": "huge", "model": "sparse_pauli", "n": 3, "k": 2, "m": 3, "y": 1e200, "t": 1.0})
+    doc["evolution"] = evolution
+    doc["cells"].append({"id": "huge", "model": "sparse_pauli", "n": 3, "k": 2, "m": 3, "y": y, "t": 1.0})
     path.write_text(json.dumps(doc))
-    code, _, _ = run_cli(capsys, "sweep", "--config", str(path))
+    # with method expm the dense jump stacks overflow on the way, which numpy warns about
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(path))
     assert code == 0
     with open(doc["output"]["results_csv"]) as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["status"] for r in rows if r["cell_id"] == "spin"] == ["ok", "ok"]
-    huge = [r["status"] for r in rows if r["cell_id"] == "huge"]
+    return ([r["status"] for r in rows if r["cell_id"] == "spin"],
+            [r["status"] for r in rows if r["cell_id"] == "huge"])
+
+
+def test_sweep_records_an_overflowing_coupling_as_failed_draws(capsys, tmp_path):
+    spin, huge = overflowing_sweep(capsys, tmp_path, 1e200, {})
+    assert spin == ["ok", "ok"]
     assert len(huge) == 2 and all(s.startswith("ValidationError: jump coefficient") for s in huge)
+
+
+def test_sweep_records_an_overflowing_propagator_as_failed_draws(capsys, tmp_path):
+    spin, huge = overflowing_sweep(capsys, tmp_path, 1e30, {"method": "expm"})
+    assert spin == ["ok", "ok"]
+    assert len(huge) == 2 and all(s.startswith("ValidationError: e^(L t) is not finite") for s in huge)
 
 
 @pytest.mark.parametrize(
@@ -401,6 +421,19 @@ def test_verify_zero_count_exits_2(capsys, tmp_path, flag):
     assert code == 2
     assert "must be >= 1" in err
     assert "passed" not in out
+    assert not out_json.exists()
+
+
+def test_verify_overflowing_coupling_exits_2(capsys, tmp_path):
+    # the channel checks' dense propagator overflows; no check is reported
+    out_json = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "verify", "--y", "1e30", "--instances", "1", "--condition-instances", "1",
+                                 "--probes", "1", "--tail-draws", "1", "--out", str(out_json))
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and "e^(L t) is not finite" in errors[0]
+    assert "Traceback" not in err and "passed" not in out
     assert not out_json.exists()
 
 

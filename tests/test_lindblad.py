@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     apply_generator_adjoint,
     draw,
@@ -24,6 +26,7 @@ from dissip.lindblad import (
     apply_generator,
     build_jump_set,
     build_lindbladian,
+    commutation_table,
     condition2_max_residual,
     cross_piece_adjoint,
     cross_piece_norm_bound,
@@ -34,7 +37,7 @@ from dissip.lindblad import (
     weighted_anticommute_margin,
     zero_piece_adjoint,
 )
-from dissip.operators import encode_op, to_dense
+from dissip.operators import commutes, encode_op, to_dense
 
 ALL_MODELS = [
     ("gaussian_pauli", 3, 2, None),
@@ -141,6 +144,29 @@ def test_k_matrix_single_qubit_oracle():
 def test_b_table_row_sums(model, n, k, m):
     for seed in range(10):
         assert ledger_violations(draw(model, n, k, m=m, seed=seed)) == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([
+    ("sparse_pauli", 1, 1, 6),  # three strings, so duplicates
+    ("sparse_pauli", 4, 2, 5),
+    ("sparse_pauli", 40, 3, 8),  # keys past 64 bits
+    ("sparse_fermion", 2, 2, 3),  # one subset, every term a duplicate
+    ("sparse_fermion", 8, 4, 6),
+    ("sparse_fermion", 70, 4, 5),
+    ("gaussian_pauli", 1, 1, None),
+    ("gaussian_pauli", 3, 2, None),
+    ("syk", 2, 2, None),
+    ("syk", 6, 4, None),
+]), seed=st.integers(0, 2**32 - 1))
+def test_commutation_table_matches_the_predicate(shape, seed):
+    model, n, k, m = shape
+    inst = draw(model, n, k, m=m, seed=seed)
+    jumps = build_jump_set(inst)
+    table = commutation_table(jumps, inst.terms)
+    expected = [[not commutes(a, t.op) for t in inst.terms] for a in jumps]
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, np.array(expected, dtype=np.uint8))
 
 
 def test_ledger_flags_a_term_of_the_wrong_weight():

@@ -21,10 +21,12 @@ from dissip.operators import (
     decode_op,
     encode_op,
     jordan_wigner,
+    key_mul,
     majorana_commutes,
     majorana_to_pauli,
     pauli_commutes,
     pauli_mul,
+    string_key,
     support,
     to_dense,
 )
@@ -282,6 +284,48 @@ def test_majorana_flag_matches_dense(data):
     da, db = to_dense(a), to_dense(b)
     comm_is_zero = np.abs(da @ db - db @ da).max() < 1e-12
     assert majorana_commutes(a, b) == (0 if comm_is_zero else 1)
+
+
+# ---------------------------------------------------------------------------
+# string keys
+# ---------------------------------------------------------------------------
+
+def key_dense(q, key):
+    """P_key from its letters: qubit i reads bit q-1-i of x = key >> q and of z."""
+    letters = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    return kron_chain(letters[(key >> (2 * q - 1 - i)) & 1, (key >> (q - 1 - i)) & 1] for i in range(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_key_mul_is_pauli_mul_on_keys(data):
+    n = data.draw(st.integers(1, 40))  # past 64 key bits
+    bits = st.integers(0, (1 << n) - 1)
+    a = PauliString(n, data.draw(bits), data.draw(bits))
+    b = PauliString(n, data.draw(bits), data.draw(bits))
+    c, phase = pauli_mul(a, b)
+    assert string_key(a)[1] == string_key(b)[1] == string_key(c)[1] == 1
+    assert key_mul(n, string_key(a)[0], string_key(b)[0]) == (string_key(c)[0], phase)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_string_key_is_the_dense_string(data):
+    q = data.draw(st.integers(1, 4))
+    bits = st.integers(0, (1 << q) - 1)
+    p = PauliString(q, data.draw(bits), data.draw(bits))
+    assert np.array_equal(key_dense(q, string_key(p)[0]), kron_chain(letters_of(p)))
+    assert np.array_equal(to_dense(p), kron_chain(letters_of(p)))
+    m = MajoranaMonomial(2 * q, data.draw(st.integers(0, (1 << (2 * q)) - 1)))
+    key, phase = string_key(m)
+    pauli, jw_phase = majorana_to_pauli(m)
+    assert (key, phase) == (string_key(pauli)[0], jw_phase)
+    # the product of the Jordan-Wigner factors, each from its letters
+    factors = np.eye(1 << q, dtype=complex)
+    for mode in m.modes():
+        factors = factors @ kron_chain(letters_of(jordan_wigner(mode, 2 * q)))
+    assert np.abs(factors - phase * key_dense(q, key)).max() < 1e-15
+    assert np.abs(to_dense(m) - factors).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

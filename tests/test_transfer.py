@@ -32,9 +32,9 @@ from dissip.lindblad import (
 from dissip.operators import (
     PauliString,
     canonical_dense,
-    coefficient_index,
     from_pauli_coefficients,
     pauli_coefficients,
+    string_key,
 )
 
 SAMPLED = [
@@ -72,7 +72,7 @@ def test_coefficients_of_a_canonical_string():
     q = 3
     for letters, index in (("XYZ", 0b110_011), ("IYI", 0b010_010), ("ZZX", 0b001_110), ("III", 0)):
         p = PauliString.from_site_letters(q, [(i, c) for i, c in enumerate(letters) if c != "I"])
-        assert coefficient_index(p) == index
+        assert string_key(p) == (index, 1)
         expected = np.zeros(4**q)
         expected[index] = 2**q
         assert np.abs(pauli_coefficients(canonical_dense(p)) - expected).max() < 1e-14
